@@ -19,6 +19,7 @@
 #include "core/spsc_ring.hpp"
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
+#include "proto/crc32c.hpp"
 #include "proto/pool.hpp"
 #include "proto/reassembly.hpp"
 #include "proto/wire.hpp"
@@ -265,6 +266,26 @@ void BM_MetricsSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MetricsSnapshot)->Arg(64)->Arg(512);
+
+// --- proto/ frame checksum ---------------------------------------------------
+// Every frame is sealed and verified with CRC32C, so its per-byte cost is
+// paid twice per payload byte. `dispatched` is what the library runs (the
+// SSE4.2 kernel where the CPU has it); `portable` is the table fallback.
+
+template <typename Kernel>
+void BM_Crc32c(benchmark::State& state, Kernel kernel) {
+  std::vector<std::byte> data(static_cast<std::size_t>(state.range(0)));
+  util::Xoshiro256 rng(3);
+  for (auto& b : data) b = std::byte(rng.next() & 0xff);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel(proto::kCrc32cInit, data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &proto::crc32c_update)
+    ->Arg(64)->Arg(4096)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Crc32c, portable, &proto::detail::crc32c_portable)
+    ->Arg(64)->Arg(4096)->Arg(65536);
 
 // --- packet-path report (BENCH_micro_hotpaths.json) -------------------------
 // Hand-timed measurement of the three packet construction paths the

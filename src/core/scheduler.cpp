@@ -17,6 +17,20 @@ std::uint64_t elapsed_ns(sim::TimeNs from, sim::TimeNs to) {
   return to > from ? static_cast<std::uint64_t>(to - from) : 0;
 }
 
+/// Drops finished requests nobody else holds once `live` passes `sweep_at`,
+/// then re-arms at twice what was kept (at least 64). Small batches keep the
+/// frees from flooding the allocator in one burst; doubling keeps the cost
+/// O(1) amortized when callers hold on to their handles.
+template <typename Handle>
+void sweep_list(std::vector<Handle>& live, std::size_t& sweep_at) {
+  constexpr std::size_t kMinSweep = 64;
+  if (live.size() <= sweep_at) return;
+  std::erase_if(live, [](const Handle& h) {
+    return h->done() && h.use_count() == 1;
+  });
+  sweep_at = std::max(kMinSweep, 2 * live.size());
+}
+
 }  // namespace
 
 void RequestMetrics::register_into(obs::MetricsRegistry& registry,
@@ -146,17 +160,8 @@ std::size_t Scheduler::pending_requests() const noexcept {
 }
 
 void Scheduler::sweep_completed() {
-  constexpr std::size_t kSweepThreshold = 4096;
-  if (live_sends_.size() > kSweepThreshold) {
-    std::erase_if(live_sends_, [](const SendHandle& h) {
-      return h->done() && h.use_count() == 1;
-    });
-  }
-  if (live_recvs_.size() > kSweepThreshold) {
-    std::erase_if(live_recvs_, [](const RecvHandle& h) {
-      return h->done() && h.use_count() == 1;
-    });
-  }
+  sweep_list(live_sends_, sweep_sends_at_);
+  sweep_list(live_recvs_, sweep_recvs_at_);
 }
 
 // --------------------------------------------------------------------------

@@ -220,6 +220,9 @@ class Scheduler {
   std::vector<std::unique_ptr<Gate>> gates_;
   std::vector<SendHandle> live_sends_;
   std::vector<RecvHandle> live_recvs_;
+  /// Each list is swept once it grows past this size (see sweep_completed).
+  std::size_t sweep_sends_at_ = 0;
+  std::size_t sweep_recvs_at_ = 0;
   RequestMetrics metrics_;
   CompletionHook completion_hook_;
 };

@@ -2,7 +2,7 @@
 
 #include <array>
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
 
@@ -39,27 +39,13 @@ const Tables& tables() {
 
 }  // namespace
 
-std::uint32_t crc32c_update(std::uint32_t state,
-                            std::span<const std::byte> data) noexcept {
+namespace detail {
+
+std::uint32_t crc32c_portable(std::uint32_t state,
+                              std::span<const std::byte> data) noexcept {
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   std::size_t n = data.size();
   std::uint32_t crc = state;
-
-#if defined(__SSE4_2__)
-  // Hardware CRC32C where the baseline ISA guarantees it.
-  while (n >= 8) {
-    std::uint64_t v;
-    __builtin_memcpy(&v, p, 8);
-    crc = static_cast<std::uint32_t>(_mm_crc32_u64(crc, v));
-    p += 8;
-    n -= 8;
-  }
-  while (n > 0) {
-    crc = _mm_crc32_u8(crc, *p++);
-    --n;
-  }
-  return crc;
-#else
   const Tables& tb = tables();
   while (n >= 4) {
     crc ^= static_cast<std::uint32_t>(p[0]) |
@@ -76,7 +62,56 @@ std::uint32_t crc32c_update(std::uint32_t state,
     --n;
   }
   return crc;
+}
+
+#if defined(__x86_64__)
+
+bool crc32c_hw_available() noexcept {
+  static const bool ok = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return ok;
+}
+
+// Compiled for SSE4.2 regardless of the build's baseline ISA; only reached
+// once crc32c_hw_available() has confirmed the CPU executes `crc32`.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
+    std::uint32_t state, std::span<const std::byte> data) noexcept {
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
+  std::uint32_t crc = state;
+  while (n >= 8) {
+    std::uint64_t v;
+    __builtin_memcpy(&v, p, 8);
+    crc = static_cast<std::uint32_t>(_mm_crc32_u64(crc, v));
+    p += 8;
+    n -= 8;
+  }
+  while (n > 0) {
+    crc = _mm_crc32_u8(crc, *p++);
+    --n;
+  }
+  return crc;
+}
+
+#else
+
+bool crc32c_hw_available() noexcept { return false; }
+
+std::uint32_t crc32c_hw(std::uint32_t state,
+                        std::span<const std::byte> data) noexcept {
+  return crc32c_portable(state, data);
+}
+
 #endif
+
+}  // namespace detail
+
+std::uint32_t crc32c_update(std::uint32_t state,
+                            std::span<const std::byte> data) noexcept {
+  return detail::crc32c_hw_available() ? detail::crc32c_hw(state, data)
+                                       : detail::crc32c_portable(state, data);
 }
 
 std::uint32_t crc32c(std::span<const std::byte> data) noexcept {

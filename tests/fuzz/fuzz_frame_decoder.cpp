@@ -12,18 +12,37 @@
 //   3. decode_packet over the post-envelope bytes — the packet parser the
 //      guard's deliver upcall feeds.
 //
+// It is also a differential oracle for the CRC32C kernels: the dispatched
+// checksum (the hardware kernel on CPUs that have one) must equal the
+// portable kernel's over the whole input and when folded in two pieces at a
+// point the input picks, so every length and alignment the fuzzer tries
+// drives both kernels.
+//
 // Build with -DNMAD_FUZZERS=ON (clang only); see tests/fuzz/CMakeLists.txt.
 // Seed corpus: tests/fuzz/corpus/ (valid sealed frames plus edge shapes).
 #include <cstddef>
 #include <cstdint>
 #include <span>
 
+#include "proto/crc32c.hpp"
 #include "proto/wire.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::span<const std::byte> frame(
       reinterpret_cast<const std::byte*>(data), size);
+
+  using nmad::proto::crc32c_update;
+  using nmad::proto::kCrc32cInit;
+  const std::uint32_t whole = crc32c_update(kCrc32cInit, frame);
+  if (whole != nmad::proto::detail::crc32c_portable(kCrc32cInit, frame)) {
+    __builtin_trap();
+  }
+  const std::size_t cut = size == 0 ? 0 : data[size - 1] * size / 256;
+  if (crc32c_update(crc32c_update(kCrc32cInit, frame.first(cut)),
+                    frame.subspan(cut)) != whole) {
+    __builtin_trap();
+  }
 
   const auto env = nmad::proto::decode_frame_envelope(frame);
   const bool crc_ok = nmad::proto::verify_frame_checksum(frame);

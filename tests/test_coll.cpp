@@ -254,7 +254,9 @@ class CollHetero : public ::testing::TestWithParam<HeteroParam> {
     if constexpr (obs::kMetricsEnabled) {
       const auto& m = comms[0].metrics();
       EXPECT_EQ(m.levels.value(), hierarchical ? 2 : 1);
-      if (hierarchical) EXPECT_GT(m.level_inter_sends.value(), 0u);
+      if (hierarchical) {
+        EXPECT_GT(m.level_inter_sends.value(), 0u);
+      }
     }
     return out;
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,12 @@ struct ParamCase {
   std::function<void(NicProfile&, double)> apply;  // scale the parameter
   std::size_t probe_size;  // message size where the parameter matters
 };
+
+/// Without this, gtest prints the raw bytes of the struct (pointers
+/// included) into the test names, which then change from build to build.
+void PrintTo(const ParamCase& pc, std::ostream* os) {
+  *os << pc.name << " @ " << pc.probe_size << " B";
+}
 
 class SlowerParamMakesSlower : public ::testing::TestWithParam<ParamCase> {};
 

@@ -1,8 +1,10 @@
 // Session-level odds and ends: test(), scatter receives shorter than the
-// registered segments, the sampling cache wiring, and deadlock detection.
+// registered segments, release of finished requests, the sampling cache
+// wiring, and deadlock detection.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 
 #include "core/platform.hpp"
@@ -47,6 +49,29 @@ TEST(Session, UnpackScattersShorterMessageIntoLeadingSegments) {
   EXPECT_TRUE(std::equal(out2.begin(), out2.begin() + 50,
                          std::vector<std::byte>(50, std::byte{0x5e}).begin()));
   EXPECT_EQ(out2[50], std::byte{0});  // beyond the message: untouched
+}
+
+TEST(Session, CompletedRequestsAreReleasedInSmallBatches) {
+  // The scheduler keeps every request alive until it is done; once the
+  // caller has dropped a finished one, it must be freed within a few
+  // hundred messages, not after thousands pile up.
+  TwoNodePlatform p(paper_platform("single_rail"));
+  std::vector<std::byte> payload(8, std::byte{7});
+  std::vector<std::byte> sink(8);
+  std::weak_ptr<SendRequest> first_send;
+  std::weak_ptr<RecvRequest> first_recv;
+  for (int i = 0; i <= 200; ++i) {
+    auto recv = p.b().irecv(p.gate_ba(), 0, sink);
+    auto send = p.a().isend(p.gate_ab(), 0, payload);
+    p.b().wait(recv);
+    p.a().wait(send);
+    if (i == 0) {
+      first_send = send;
+      first_recv = recv;
+    }
+  }
+  EXPECT_TRUE(first_send.expired());
+  EXPECT_TRUE(first_recv.expired());
 }
 
 TEST(Session, SamplingCacheWrittenAndReused) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "proto/crc32c.hpp"
@@ -427,6 +428,82 @@ TEST(FrameEnvelope, Crc32cKnownAnswerAndStreamingEquivalence) {
       off += n;
     }
     EXPECT_EQ(crc32c_finish(state), oneshot);
+  }
+}
+
+using Crc32cKernel = std::uint32_t (*)(std::uint32_t,
+                                      std::span<const std::byte>) noexcept;
+
+/// Every kernel the library can run: the portable one always, the hardware
+/// one only where the CPU has it.
+std::vector<std::pair<const char*, Crc32cKernel>> crc32c_kernels() {
+  std::vector<std::pair<const char*, Crc32cKernel>> out{
+      {"portable", &detail::crc32c_portable}};
+  if (detail::crc32c_hw_available()) out.emplace_back("hw", &detail::crc32c_hw);
+  return out;
+}
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  nmad::util::Xoshiro256 rng(seed);
+  std::vector<std::byte> d(n);
+  for (auto& b : d) b = std::byte(rng.next() & 0xff);
+  return d;
+}
+
+TEST(FrameEnvelope, Crc32cRfc3720Vectors) {
+  // RFC 3720 section B.4 test vectors.
+  std::vector<std::byte> zeros(32, std::byte{0x00});
+  std::vector<std::byte> ones(32, std::byte{0xff});
+  std::vector<std::byte> ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) ascending[i] = std::byte(i);
+
+  EXPECT_EQ(crc32c(zeros), 0x8a9136aau);
+  EXPECT_EQ(crc32c(ones), 0x62a8ab43u);
+  EXPECT_EQ(crc32c(ascending), 0x46dd794eu);
+  for (const auto& [name, kernel] : crc32c_kernels()) {
+    EXPECT_EQ(crc32c_finish(kernel(kCrc32cInit, zeros)), 0x8a9136aau) << name;
+    EXPECT_EQ(crc32c_finish(kernel(kCrc32cInit, ones)), 0x62a8ab43u) << name;
+    EXPECT_EQ(crc32c_finish(kernel(kCrc32cInit, ascending)), 0x46dd794eu) << name;
+  }
+}
+
+TEST(FrameEnvelope, Crc32cHardwareMatchesPortableAtEveryLengthAndOffset) {
+  if (!detail::crc32c_hw_available()) GTEST_SKIP() << "CPU has no SSE4.2 crc32";
+  const auto data = random_bytes(4096 + 8, 31);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const auto piece = std::span(data).subspan(offset, len);
+      ASSERT_EQ(detail::crc32c_hw(kCrc32cInit, piece),
+                detail::crc32c_portable(kCrc32cInit, piece))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(FrameEnvelope, Crc32cHardwareMatchesPortableFromAnyStateAndSplit) {
+  if (!detail::crc32c_hw_available()) GTEST_SKIP() << "CPU has no SSE4.2 crc32";
+  nmad::util::Xoshiro256 rng(77);
+  const auto data = random_bytes(2000, 78);
+  for (int round = 0; round < 200; ++round) {
+    // A non-initial state, as when a frame is folded in pieces.
+    const auto state = static_cast<std::uint32_t>(rng.next());
+    const auto piece = std::span(data).subspan(rng.next_below(data.size()));
+    const std::uint32_t expected = detail::crc32c_portable(state, piece);
+    ASSERT_EQ(detail::crc32c_hw(state, piece), expected) << "round " << round;
+
+    // The same bytes folded in random pieces, alternating kernels.
+    std::uint32_t s = state;
+    std::size_t off = 0;
+    bool hw = (round & 1) != 0;
+    while (off < piece.size()) {
+      const std::size_t n =
+          std::min<std::size_t>(rng.next_below(40), piece.size() - off);
+      const auto part = piece.subspan(off, n);
+      s = hw ? detail::crc32c_hw(s, part) : detail::crc32c_portable(s, part);
+      hw = !hw;
+      off += n;
+    }
+    ASSERT_EQ(s, expected) << "round " << round;
   }
 }
 
