@@ -79,7 +79,7 @@ WorldPoint run_world(std::size_t n, bool hierarchical, bool capture_metrics) {
   // oversubscribes small-core hosts badly enough that the 5 s default
   // stall watchdog can fire while work is still (slowly) advancing.
   coll::DriveHooks hooks = coll::hooks_for(platform);
-  if (hooks.threaded) hooks.stall_ms = 120000;
+  if (hooks.threaded_session != nullptr) hooks.stall_ms = 120000;
   coll::CollConfig ccfg;
   ccfg.hierarchical = hierarchical;
   std::vector<coll::Communicator> comms;

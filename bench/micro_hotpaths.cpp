@@ -173,7 +173,7 @@ BENCHMARK(BM_FairShareRecompute)->Arg(2)->Arg(16);
 
 // --- per-thread submission ring (core/spsc_ring) ----------------------------
 // The push/pop pair is what every isend/irecv pays on the many-thread
-// submission path, and what the progress threads pay per drained op.
+// submission path, and what the progress thread pays per drained op.
 // Uncontended cost must stay in the tens-of-nanoseconds range.
 
 void BM_SpscRingPushPop(benchmark::State& state) {

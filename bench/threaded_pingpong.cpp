@@ -1,6 +1,6 @@
 // Threaded progression benchmark: the same one-way transfer sweep run once
 // with serial progression (the application thread drives the engine) and
-// once with per-rail progress threads feeding off the SPSC submission
+// once with the world's progress thread feeding off the SPSC submission
 // rings.
 //
 // Simulated transfer performance is a function of the event timeline, not
@@ -12,7 +12,7 @@
 //
 // Methodology: one-way (not the harness ping-pong), because the echo leg
 // is submitted by the application *after* a wait — and in threaded mode
-// the progress threads legitimately keep draining trailing events past
+// the progress thread legitimately keeps draining trailing events past
 // the wait's predicate, which shifts the echo's virtual submission time.
 // A one-way burst posted under Session::submission_burst() (which holds
 // the world mutex, reproducing the serial optimization window) is
@@ -120,7 +120,7 @@ double aggregate(const std::vector<double>& values) {
 int main() {
   set_report_name("threaded_pingpong");
   std::printf(
-      "=== Threaded progression: serial vs per-rail progress threads ===\n\n");
+      "=== Threaded progression: serial vs the world's progress thread ===\n\n");
 
   constexpr int kSegments = 2;
   const auto bw_sizes = bandwidth_sizes();

@@ -1,12 +1,12 @@
 #include "coll/communicator.hpp"
 
 #include <chrono>
-#include <thread>
 
 #include "coll/barrier.hpp"
 #include "coll/bcast.hpp"
 #include "coll/reduce.hpp"
 #include "core/platform.hpp"
+#include "core/progress.hpp"
 #include "obs/registry.hpp"
 #include "util/panic.hpp"
 
@@ -162,7 +162,7 @@ CollHandle Communicator::ibarrier() {
 }
 
 bool Communicator::wait(const CollHandle& op) {
-  if (hooks_.run_until != nullptr || hooks_.threaded) {
+  if (hooks_.run_until != nullptr || hooks_.threaded_session != nullptr) {
     return wait_all(std::span<const CollHandle>(&op, 1), hooks_);
   }
   // Fallback without hooks: park in the session between advances. Works
@@ -196,7 +196,7 @@ bool wait_all(std::span<const CollHandle> ops, const DriveHooks& hooks) {
     }
   };
 
-  if (!hooks.threaded) {
+  if (hooks.threaded_session == nullptr) {
     NMAD_ASSERT(hooks.run_until != nullptr, "serial DriveHooks needs run_until");
     if (!all_done() && !hooks.run_until(all_done) && !all_done()) {
       // Global quiescence with ops unfinished: the pattern cannot complete
@@ -205,22 +205,24 @@ bool wait_all(std::span<const CollHandle> ops, const DriveHooks& hooks) {
       abort_rest();
     }
   } else {
-    // Progress threads own the engine; spin on the handles and reset the
-    // stall deadline whenever any op changes state.
+    // The progress thread owns the engine; park on the completion doorbell
+    // and reset the stall deadline whenever any op changes state.
     const auto stall = std::chrono::milliseconds(hooks.stall_ms);
     auto deadline = std::chrono::steady_clock::now() + stall;
     std::uint64_t last_versions = ~std::uint64_t{0};
     while (!all_done()) {
       std::uint64_t versions = 0;
       for (const auto& h : ops) versions += h->version();
+      const auto now = std::chrono::steady_clock::now();
       if (versions != last_versions) {
         last_versions = versions;
-        deadline = std::chrono::steady_clock::now() + stall;
-      } else if (std::chrono::steady_clock::now() > deadline) {
+        deadline = now + stall;
+      } else if (now > deadline) {
         abort_rest();
         break;
       }
-      std::this_thread::yield();
+      hooks.threaded_session->progress_engine()->park(
+          all_done, std::chrono::ceil<std::chrono::milliseconds>(deadline - now));
     }
   }
 
@@ -229,10 +231,10 @@ bool wait_all(std::span<const CollHandle> ops, const DriveHooks& hooks) {
   return ok;
 }
 
-DriveHooks hooks_for(core::MultiNodePlatform& platform) {
+DriveHooks hooks_for(core::MultiNodePlatform& platform, std::size_t rank) {
   DriveHooks hooks;
   if (platform.progress_mode() == core::ProgressMode::kThreaded) {
-    hooks.threaded = true;
+    hooks.threaded_session = &platform.session(rank);
   } else {
     hooks.run_until = [&platform](const std::function<bool()>& pred) {
       return platform.run_until(pred);
@@ -245,7 +247,7 @@ Communicator make_communicator(core::MultiNodePlatform& platform,
                                std::size_t rank, CollConfig config) {
   Communicator comm(platform.session(rank), platform.gates_from(rank), rank,
                     config);
-  comm.set_drive_hooks(hooks_for(platform));
+  comm.set_drive_hooks(hooks_for(platform, rank));
   if (platform.config().lazy) {
     // Lazy platform: kNoGate entries are resolved (and the edge
     // established) on first use by a collective.

@@ -36,7 +36,7 @@
 // Thread model: one thread drives a communicator and its handles
 // (try_advance posts sends/receives and mutates op state). Request
 // completion flags are atomics, so this composes with threaded progression:
-// the app thread polls/advances while progress threads settle requests.
+// the app thread polls/advances while the progress thread settles requests.
 #pragma once
 
 #include <cstdint>
@@ -229,17 +229,19 @@ struct DriveHooks {
   /// on global quiescence with `pred` still unmet (see
   /// core::MultiNodePlatform::run_until). Unused in threaded mode.
   std::function<bool(const std::function<bool()>&)> run_until;
-  /// Threaded mode: progress threads own the engine, so wait_all spins on
-  /// the handles with a wall-clock stall watchdog instead.
-  bool threaded = false;
+  /// Threaded mode: a session of the world (the rank's own, normally).
+  /// The progress thread owns the engine, so wait_all parks on this
+  /// session's completion doorbell under a wall-clock stall watchdog.
+  core::Session* threaded_session = nullptr;
   /// Threaded stall budget: if no handle advances for this long, the
   /// remaining ops are aborted (a dead peer must degrade, not hang).
   std::uint64_t stall_ms = 5000;
 };
 
 /// Drive every handle to settlement: round-robin try_advance() while
-/// pumping the engine (serial) or spinning under a stall watchdog
-/// (threaded). On global quiescence/stall, unfinished ops are aborted.
+/// pumping the engine (serial) or parking between completions under a
+/// stall watchdog (threaded). On global quiescence/stall, unfinished ops
+/// are aborted.
 /// Returns true iff every op completed successfully.
 bool wait_all(std::span<const CollHandle> ops, const DriveHooks& hooks);
 
@@ -405,7 +407,10 @@ class Communicator {
                                              CollConfig config = {});
 
 /// Drive hooks for a MultiNodePlatform (serial: engine pump + chaos flush;
-/// threaded: stall-watchdog spinning).
-[[nodiscard]] DriveHooks hooks_for(core::MultiNodePlatform& platform);
+/// threaded: parking on rank `rank`'s session under the stall watchdog —
+/// every session of the world shares one completion doorbell, so any rank
+/// serves a wait over all of them).
+[[nodiscard]] DriveHooks hooks_for(core::MultiNodePlatform& platform,
+                                   std::size_t rank = 0);
 
 }  // namespace nmad::coll

@@ -70,21 +70,16 @@ TwoNodePlatform::TwoNodePlatform(PlatformConfig config)
 
   mode_ = resolve_progress_mode(config_.progress_mode);
   if (mode_ == ProgressMode::kThreaded) {
-    const std::size_t threads = config_.progress_threads != 0
-                                    ? config_.progress_threads
-                                    : config_.links.size();
-    session_a_->start_threaded(w->progress_mutex(), &w->engine(), threads,
-                               nullptr, nullptr, config_.submit_ring_capacity,
-                               config_.completion_ring_capacity);
-    session_b_->start_threaded(w->progress_mutex(), &w->engine(), threads,
-                               nullptr, nullptr, config_.submit_ring_capacity,
-                               config_.completion_ring_capacity);
+    session_a_->start_threaded(w->progress_mutex(), &w->engine(), 1, nullptr,
+                               config_.submit_ring_capacity);
+    session_b_->start_threaded(w->progress_mutex(), &w->engine(), 1, nullptr,
+                               config_.submit_ring_capacity);
   }
 }
 
 TwoNodePlatform::~TwoNodePlatform() {
-  // Engine events cross sessions, so every progress thread must stop
-  // before either session's scheduler is destroyed.
+  // Engine events cross sessions, so both sessions must detach from the
+  // world's progress thread before either scheduler is destroyed.
   session_a_->stop_threaded();
   session_b_->stop_threaded();
 }
@@ -168,10 +163,7 @@ Session& MultiNodePlatform::ensure_session(std::size_t i) {
   sessions_[i] = std::make_unique<Session>("n" + std::to_string(i), clock,
                                            defer, progress, timer);
   if (mode_ == ProgressMode::kThreaded) {
-    const std::size_t threads = config_.progress_threads != 0
-                                    ? config_.progress_threads
-                                    : config_.links.size();
-    // The idle hook releases chaos-held frames from a progress thread
+    // The idle hook releases chaos-held frames from the progress thread
     // (under the world mutex) whenever the engine drains, so a run can
     // never stall below the scrambling window. wrappers_ only mutates
     // under the same mutex (establish_edge), so the iteration is safe.
@@ -181,9 +173,8 @@ Session& MultiNodePlatform::ensure_session(std::size_t i) {
         for (auto& wr : wrappers_) wr->flush();
       };
     }
-    sessions_[i]->start_threaded(w->progress_mutex(), &w->engine(), threads,
-                                 idle, nullptr, config_.submit_ring_capacity,
-                                 config_.completion_ring_capacity);
+    sessions_[i]->start_threaded(w->progress_mutex(), &w->engine(), 1, idle,
+                                 config_.submit_ring_capacity);
   }
   return *sessions_[i];
 }
@@ -198,7 +189,7 @@ void MultiNodePlatform::establish_edge(std::size_t i, std::size_t j,
   Session& si = ensure_session(i);
   Session& sj = ensure_session(j);
 
-  // In threaded mode the progress threads are already stepping the world;
+  // In threaded mode the progress thread is already stepping the world;
   // every scheduler/engine mutation below must happen under the world
   // progress mutex. Gate storage is pointer-stable (the scheduler holds
   // unique_ptrs), so in-flight requests on other gates are unaffected.
@@ -253,8 +244,8 @@ GateId MultiNodePlatform::ensure_gate(std::size_t i, std::size_t j) {
 }
 
 MultiNodePlatform::~MultiNodePlatform() {
-  // Engine events cross sessions: every progress thread must stop before
-  // any session's scheduler is destroyed.
+  // Engine events cross sessions: every session must detach from the
+  // progress thread before any session's scheduler is destroyed.
   for (auto& s : sessions_) {
     if (s) s->stop_threaded();
   }

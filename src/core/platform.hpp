@@ -51,14 +51,11 @@ struct PlatformConfig {
   /// (aggregation-window counts, exact event traces) so they stay correct
   /// when the suite runs with NMAD_PROGRESS_MODE=threaded.
   ProgressMode progress_mode = ProgressMode::kDefault;
-  /// Progress threads per session in threaded mode; 0 = one per rail.
-  std::size_t progress_threads = 0;
-  /// Per-thread submission/completion ring capacities in threaded mode;
-  /// 0 = NMAD_SUBMIT_RING_CAP / NMAD_COMPLETION_RING_CAP, else the engine
-  /// defaults. Benches that inject bursts larger than the default ring
-  /// size raise these instead of spinning on backpressure.
+  /// Per-thread submission-ring capacity in threaded mode; 0 =
+  /// NMAD_SUBMIT_RING_CAP, else the engine default. Benches that inject
+  /// bursts larger than the default ring size raise it instead of spinning
+  /// on backpressure.
   std::size_t submit_ring_capacity = 0;
-  std::size_t completion_ring_capacity = 0;
 };
 
 class TwoNodePlatform {
@@ -130,11 +127,8 @@ struct MultiNodeConfig {
   strat::StrategyConfig strat_cfg{};
   /// See PlatformConfig::progress_mode.
   ProgressMode progress_mode = ProgressMode::kDefault;
-  /// Progress threads per session in threaded mode; 0 = one per rail.
-  std::size_t progress_threads = 0;
-  /// See PlatformConfig::submit_ring_capacity / completion_ring_capacity.
+  /// See PlatformConfig::submit_ring_capacity.
   std::size_t submit_ring_capacity = 0;
-  std::size_t completion_ring_capacity = 0;
   /// When non-empty, only these undirected node pairs get links and gates
   /// (sparse mesh) — entries are normalized to {min, max}; self-loops,
   /// out-of-range endpoints and duplicates are rejected (panic). Empty
@@ -193,7 +187,7 @@ class MultiNodePlatform {
   /// Lazy worlds: node i's gate towards node j, establishing the edge
   /// (rails, guards, gates on both endpoints — and the sessions
   /// themselves if missing) on first use. Thread-safe against running
-  /// progress threads: establishment happens under the world progress
+  /// the progress thread: establishment happens under the world progress
   /// mutex. Non-lazy worlds assert the edge already exists.
   GateId ensure_gate(std::size_t i, std::size_t j);
 
@@ -239,8 +233,8 @@ class MultiNodePlatform {
   void register_metrics(obs::MetricsRegistry& registry);
 
  private:
-  /// Create session i if missing (lazy worlds; threaded sessions start
-  /// their progress threads immediately).
+  /// Create session i if missing (lazy worlds; threaded sessions attach to
+  /// the world's progress thread immediately).
   Session& ensure_session(std::size_t i);
   /// Create the rails, chaos wrappers and both gates of edge {i, j}.
   /// Callers in threaded mode must hold the world progress mutex.
@@ -279,7 +273,7 @@ class MultiNodePlatform {
 /// `cfg` pinned to serial progression regardless of NMAD_PROGRESS_MODE.
 /// For tests and benches that assert serial determinism: exact aggregation
 /// windows, trace contents, virtual-time values, or that step the sim
-/// engine from the application thread (racy with progress threads live).
+/// engine from the application thread (racy with the progress thread live).
 [[nodiscard]] inline PlatformConfig pin_serial(PlatformConfig cfg) {
   cfg.progress_mode = ProgressMode::kSerial;
   return cfg;

@@ -1,9 +1,12 @@
 #include "core/progress.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "sim/engine.hpp"
@@ -30,7 +33,7 @@ std::uint64_t this_thread_id() {
 }
 
 /// Thread-local memo of this thread's lane slot per engine: the fast path
-/// of submit()/pop_completion() resolves the lane without touching the
+/// of submit() resolves the lane without touching the
 /// engine's registration mutex. Misses (cold thread, evicted entry) fall
 /// back to the authoritative map, which always returns the SAME slot for
 /// the same thread — an eviction can never split one thread's stream
@@ -85,34 +88,181 @@ const char* to_string(ProgressMode mode) {
   NMAD_PANIC("bad ProgressMode");
 }
 
+namespace {
+/// The world whose progress thread is the calling thread, if any.
+thread_local ProgressWorld* tls_world = nullptr;
+}  // namespace
+
+/// The one progress thread of a world, plus its doorbells and the sessions
+/// attached to it. Found through a registry keyed by the world mutex: the
+/// sim world itself cannot own it (drv/ sits below core/), and sessions are
+/// switched to threaded mode one at a time through Session::start_threaded.
+class ProgressWorld {
+ public:
+  /// Max engine events fired per lock acquisition — bounds how long the
+  /// thread holds the world mutex before a burst gets a turn.
+  static constexpr std::size_t kEngineBatch = 64;
+
+  ProgressWorld(std::mutex& lock, sim::Engine& engine)
+      : lock_(lock), engine_(engine) {
+    {
+      std::lock_guard<std::mutex> guard(lock_);
+      // The world thread never needs waking by its own events.
+      engine_.set_wake_hook([this] {
+        if (tls_world != this) work.ring();
+      });
+    }
+    thread_ = std::thread([this] { run(); });
+  }
+
+  ~ProgressWorld() {
+    stop_.store(true, std::memory_order_relaxed);
+    work.ring();
+    thread_.join();
+    std::lock_guard<std::mutex> guard(lock_);
+    engine_.set_wake_hook(nullptr);
+  }
+  ProgressWorld(const ProgressWorld&) = delete;
+  ProgressWorld& operator=(const ProgressWorld&) = delete;
+
+  /// Attach `session` to the world of its hooks' mutex, creating the world
+  /// (and its thread) on first use.
+  static ProgressWorld* attach(ProgressEngine& session);
+  /// Detach `session`; the last session of a world joins its thread.
+  static void detach(ProgressEngine& session);
+
+  /// Engine idle, every attached lane empty and nothing between pop and
+  /// submit: the wait() watchdog's quiet sample and the park re-check.
+  [[nodiscard]] bool quiet() const {
+    std::lock_guard<std::mutex> guard(sessions_mu_);
+    if (!engine_.idle()) return false;
+    return std::all_of(sessions_.begin(), sessions_.end(),
+                       [](const ProgressEngine* s) {
+                         return s->submissions_idle();
+                       });
+  }
+
+  Doorbell work;  ///< the world thread parks here
+  Doorbell done;  ///< waiters park here; rung on every settled request
+
+ private:
+  void run();
+
+  std::mutex& lock_;
+  sim::Engine& engine_;
+  /// Attached sessions. Mutated under BOTH the world lock and sessions_mu_:
+  /// rounds iterate under the world lock, quiet() under sessions_mu_.
+  mutable std::mutex sessions_mu_;
+  std::vector<ProgressEngine*> sessions_;
+  /// A request settled during the current round (world thread only).
+  bool settled_ = false;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+namespace {
+/// The world registry, keyed by world mutex.
+std::mutex g_worlds_mu;
+std::unordered_map<std::mutex*, std::unique_ptr<ProgressWorld>> g_worlds;
+}  // namespace
+
+ProgressWorld* ProgressWorld::attach(ProgressEngine& session) {
+  std::lock_guard<std::mutex> reg_guard(g_worlds_mu);
+  std::unique_ptr<ProgressWorld>& slot = g_worlds[session.hooks_.lock];
+  if (slot == nullptr) {
+    slot = std::make_unique<ProgressWorld>(*session.hooks_.lock,
+                                           *session.hooks_.engine);
+  }
+  ProgressWorld* world = slot.get();
+  NMAD_ASSERT(&world->engine_ == session.hooks_.engine,
+              "every session of one world must share its sim engine");
+  {
+    std::lock_guard<std::mutex> guard(world->lock_);
+    // Installed under the world lock: the world thread may already be
+    // firing engine events into this scheduler for other sessions.
+    session.scheduler_.set_completion_hook(
+        [&session, world] {
+          session.completions_.fetch_add(1, std::memory_order_relaxed);
+          // On the world thread, ring once at the end of the round.
+          if (tls_world == world) {
+            world->settled_ = true;
+          } else {
+            world->done.ring();
+          }
+        });
+    std::lock_guard<std::mutex> sessions_guard(world->sessions_mu_);
+    world->sessions_.push_back(&session);
+  }
+  return world;
+}
+
+void ProgressWorld::detach(ProgressEngine& session) {
+  ProgressWorld* world = session.world_;
+  session.world_ = nullptr;
+  std::lock_guard<std::mutex> reg_guard(g_worlds_mu);
+  {
+    std::lock_guard<std::mutex> guard(world->lock_);
+    // Hand anything still queued to the scheduler rather than drop it; the
+    // session's serial entry points progress it from here on.
+    while (session.drain_submissions()) {
+    }
+    session.scheduler_.set_completion_hook(nullptr);
+    std::lock_guard<std::mutex> sessions_guard(world->sessions_mu_);
+    std::erase(world->sessions_, &session);
+    if (!world->sessions_.empty()) return;
+  }
+  // Joined under the registry mutex, so a session attaching to the same
+  // mutex meanwhile starts a fresh world only after this one is gone.
+  g_worlds.erase(session.hooks_.lock);
+}
+
+void ProgressWorld::run() {
+  auto has_work = [this] {
+    return stop_.load(std::memory_order_relaxed) || !quiet();
+  };
+  tls_world = this;
+  while (true) {
+    bool moved = false;
+    {
+      // Blocking: a submission_burst() holder hands the lock straight over
+      // when it releases.
+      std::lock_guard<std::mutex> guard(lock_);
+      if (stop_.load(std::memory_order_relaxed)) return;
+      for (ProgressEngine* s : sessions_) moved |= s->drain_submissions();
+      for (std::size_t i = 0; i < kEngineBatch && engine_.step(); ++i) {
+        moved = true;
+      }
+      if (!moved) {
+        for (ProgressEngine* s : sessions_) {
+          if (s->hooks_.idle) s->hooks_.idle();
+        }
+      }
+    }
+    if (settled_) {
+      settled_ = false;
+      done.ring();
+    }
+    // Park only after a whole round moved nothing; the re-check inside
+    // park() catches work an idle hook or a racing submit just created.
+    if (!moved) work.park(has_work, Doorbell::Clock::time_point::max());
+  }
+}
+
 ProgressEngine::ProgressEngine(Scheduler& scheduler, Config config, Hooks hooks)
     : scheduler_(scheduler),
       cfg_(config),
       hooks_(std::move(hooks)),
       engine_id_(g_engine_ids.fetch_add(1, std::memory_order_relaxed)) {
   NMAD_ASSERT(hooks_.lock != nullptr, "ProgressEngine needs a progress mutex");
-  NMAD_ASSERT(cfg_.threads >= 1, "ProgressEngine needs at least one thread");
-  // Fired on a progress thread under the world lock; that lock serializes
-  // the progress threads into one logical producer per completion ring.
-  scheduler_.set_completion_hook(
-      [this](const CompletionEvent& ev) { deliver_completion(ev); });
-  threads_.reserve(cfg_.threads);
-  for (std::size_t i = 0; i < cfg_.threads; ++i) {
-    threads_.emplace_back([this, i] { thread_main(i); });
-  }
+  NMAD_ASSERT(hooks_.engine != nullptr,
+              "threaded progression needs a sim engine to step");
+  world_ = ProgressWorld::attach(*this);
 }
 
-ProgressEngine::~ProgressEngine() {
-  stop();
-  scheduler_.set_completion_hook(nullptr);
-}
+ProgressEngine::~ProgressEngine() { stop(); }
 
 void ProgressEngine::stop() {
-  stop_.store(true, std::memory_order_release);
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
+  if (world_ != nullptr) ProgressWorld::detach(*this);
 }
 
 std::uint32_t ProgressEngine::caller_slot() {
@@ -131,11 +281,11 @@ std::uint32_t ProgressEngine::caller_slot() {
       NMAD_ASSERT(slot < kMaxSubmitLanes,
                   "too many submitting threads for one progress engine "
                   "(kMaxSubmitLanes)");
-      lanes_[slot] = std::make_unique<ThreadLane>(cfg_.submission_capacity,
-                                                  cfg_.completion_capacity);
+      lanes_[slot] =
+          std::make_unique<SpscRing<SubmitOp>>(cfg_.submission_capacity);
       slot_by_thread_.emplace(tid, slot);
-      // Release-publish the lane AFTER its construction so progress
-      // threads that acquire lane_count_ see a fully built ThreadLane.
+      // Release-publish the lane AFTER its construction so the progress
+      // thread, which acquires lane_count_, sees a fully built ring.
       lane_count_.store(slot + 1, std::memory_order_release);
     }
   }
@@ -151,49 +301,47 @@ std::uint32_t ProgressEngine::caller_slot() {
   return slot;
 }
 
-void ProgressEngine::push_submission(ThreadLane& lane, SubmitOp op) {
+void ProgressEngine::push_submission(SpscRing<SubmitOp>& lane, SubmitOp op) {
   // Backpressure: the ring is bounded, so a submission burst faster than
   // the progression can drain simply slows the application thread down to
   // the drain rate. Lossless — spins forever rather than dropping.
   const bool pushed = spsc_push_backoff(
-      lane.submission, std::move(op), ~std::uint64_t{0}, [this] {
+      lane, std::move(op), ~std::uint64_t{0}, [this] {
         submission_stalls_.fetch_add(1, std::memory_order_relaxed);
       });
   NMAD_ASSERT(pushed, "unbounded submission push returned");
+  world_->work.ring();
 }
 
 void ProgressEngine::submit(SendHandle h) {
-  const std::uint32_t slot = caller_slot();
-  h->note_submit_lane(slot);
   SubmitOp op;
   op.send = std::move(h);
-  push_submission(*lanes_[slot], std::move(op));
+  push_submission(*lanes_[caller_slot()], std::move(op));
 }
 
 void ProgressEngine::submit(RecvHandle h) {
-  const std::uint32_t slot = caller_slot();
-  h->note_submit_lane(slot);
   SubmitOp op;
   op.recv = std::move(h);
-  push_submission(*lanes_[slot], std::move(op));
+  push_submission(*lanes_[caller_slot()], std::move(op));
 }
 
 bool ProgressEngine::drain_submissions() {
   bool any = false;
   const std::uint32_t n = lane_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < n; ++i) {
-    ThreadLane& lane = *lanes_[i];
+    SpscRing<SubmitOp>& lane = *lanes_[i];
+    // Idle lanes leave the in-flight count alone: bumping it on every
+    // empty poll would keep the wait() watchdog from ever seeing quiet.
+    if (lane.empty()) continue;
     SubmitOp op;
     for (std::size_t k = 0; k < cfg_.drain_chunk; ++k) {
       // Account the op as in flight BEFORE popping: between the pop (ring
       // now empty) and submit (engine now busy) the wait() watchdog would
-      // otherwise sample the world as quiet — and a drain thread starved
-      // right here for stall_timeout_ms would turn that into a spurious
-      // deadlock panic. The increment is sequenced before the pop's head
-      // release-store, so a waiter that observes the empty ring also
-      // observes the in-flight count.
+      // otherwise sample the world as quiet. The increment is sequenced
+      // before the pop's tail release-store, so a waiter that observes the
+      // empty ring also observes the in-flight count.
       inflight_submissions_.fetch_add(1, std::memory_order_relaxed);
-      if (!lane.submission.try_pop(op)) {
+      if (!lane.try_pop(op)) {
         inflight_submissions_.fetch_sub(1, std::memory_order_release);
         break;
       }
@@ -218,77 +366,10 @@ void ProgressEngine::flush_submissions() {
   }
 }
 
-void ProgressEngine::deliver_completion(const CompletionEvent& ev) {
-  completions_enqueued_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint32_t lanes = lane_count_.load(std::memory_order_acquire);
-  if (ev.lane == kNoSubmitLane || ev.lane >= lanes) {
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    fallback_.push_back(ev);
-    fallback_nonempty_.store(true, std::memory_order_release);
-    return;
-  }
-  ThreadLane& lane = *lanes_[ev.lane];
-  {
-    // While the overflow is non-empty, the ring must not be fed — the
-    // consumer drains ring-before-overflow, so a ring push here would
-    // deliver this event ahead of older spilled ones.
-    std::lock_guard<std::mutex> lock(lane.overflow_mu);
-    if (!lane.overflow.empty()) {
-      completion_overflows_.fetch_add(1, std::memory_order_relaxed);
-      lane.overflow.push_back(ev);
-      return;
-    }
-  }
-  CompletionEvent copy = ev;
-  const bool pushed = spsc_push_backoff(
-      lane.completion, std::move(copy), cfg_.completion_spin_rounds, [this] {
-        completion_stalls_.fetch_add(1, std::memory_order_relaxed);
-      });
-  if (pushed) return;
-  // Bounded spin exhausted: the submitting thread is not draining its
-  // ring. Spill losslessly — the producer holds the world mutex and must
-  // never block indefinitely on the application.
-  completion_overflows_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(lane.overflow_mu);
-  lane.overflow.push_back(std::move(copy));
-  lane.overflow_nonempty.store(true, std::memory_order_release);
-}
-
-bool ProgressEngine::pop_completion(CompletionEvent& out) {
-  const std::uint32_t slot = caller_slot();
-  ThreadLane& lane = *lanes_[slot];
-  // Ring before overflow: ring entries are always older (the producer
-  // stops feeding the ring once the lane has spilled).
-  if (lane.completion.try_pop(out)) return true;
-  if (lane.overflow_nonempty.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(lane.overflow_mu);
-    if (!lane.overflow.empty()) {
-      out = std::move(lane.overflow.front());
-      lane.overflow.pop_front();
-      if (lane.overflow.empty()) {
-        lane.overflow_nonempty.store(false, std::memory_order_release);
-      }
-      return true;
-    }
-  }
-  if (fallback_nonempty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    if (!fallback_.empty()) {
-      out = std::move(fallback_.front());
-      fallback_.pop_front();
-      if (fallback_.empty()) {
-        fallback_nonempty_.store(false, std::memory_order_release);
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ProgressEngine::submissions_idle() const {
   const std::uint32_t n = lane_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (!lanes_[i]->submission.empty()) return false;
+    if (!lanes_[i]->empty()) return false;
   }
   // Checked after the rings: an op popped but not yet in the scheduler is
   // still pending work (see drain_submissions). The acquire pairs with the
@@ -300,50 +381,28 @@ bool ProgressEngine::submissions_idle() const {
 void ProgressEngine::register_metrics(obs::MetricsRegistry& registry,
                                       const std::string& prefix) {
   registry.add(prefix + "submit.stalls", &submission_stalls_);
-  registry.add(prefix + "ring.stalls", &completion_stalls_);
-  registry.add(prefix + "ring.overflows", &completion_overflows_);
-  registry.add(prefix + "completions", &completions_enqueued_);
+  registry.add(prefix + "completions", &completions_);
 }
 
-void ProgressEngine::thread_main(std::size_t rail) {
-  std::uint32_t idle_rounds = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    bool progressed = false;
-    if (hooks_.lock->try_lock()) {
-      std::lock_guard<std::mutex> guard(*hooks_.lock, std::adopt_lock);
-      if (drain_submissions()) progressed = true;
-      if (hooks_.engine != nullptr) {
-        for (std::size_t i = 0; i < cfg_.engine_batch; ++i) {
-          if (!hooks_.engine->step()) break;
-          progressed = true;
-        }
-      }
-      if (hooks_.poll && hooks_.poll(rail)) progressed = true;
-      if (!progressed && hooks_.idle) hooks_.idle();
-    }
-    if (progressed) {
-      idle_rounds = 0;
-    } else {
-      ring_backoff(++idle_rounds);
-    }
-  }
+void ProgressEngine::park(const std::function<bool()>& ready,
+                          std::chrono::milliseconds budget) {
+  world_->done.park(ready, Doorbell::Clock::now() + budget);
 }
 
 void ProgressEngine::wait(const std::function<bool()>& pred) {
-  using Clock = std::chrono::steady_clock;
+  using Clock = Doorbell::Clock;
+  // Parks are bounded so the watchdog below keeps sampling a world that
+  // has gone silent; a settled request ends a slice early.
+  constexpr std::chrono::milliseconds kSlice{10};
   Clock::time_point quiet_since{};
   bool quiet = false;
-  std::uint32_t round = 0;
   while (!pred()) {
-    ring_backoff(++round);
+    park(pred, kSlice);
     if (cfg_.stall_timeout_ms == 0) continue;
     // Deadlock watchdog: "quiet" must hold CONTINUOUSLY for the timeout —
-    // a progress thread can be mid-callback with the queues momentarily
+    // the progress thread can be mid-callback with the queues momentarily
     // empty, so one quiet sample proves nothing.
-    const bool is_quiet =
-        (hooks_.engine == nullptr || hooks_.engine->idle()) &&
-        submissions_idle();
-    if (!is_quiet) {
+    if (!world_->quiet()) {
       quiet = false;
       continue;
     }

@@ -87,16 +87,6 @@ class SendRequest {
   void note_submit_time(sim::TimeNs t) noexcept { submit_time_ = t; }
   [[nodiscard]] sim::TimeNs submit_time() const noexcept { return submit_time_; }
   void note_gate(GateId g) noexcept { gate_ = g; }
-  /// Stamp the submitting thread's engine lane (set once, before the
-  /// request enters the submission ring; the ring's release/acquire pair
-  /// publishes it to the progression side). Routes the completion event
-  /// back to the submitting thread's completion ring.
-  void note_submit_lane(SubmitLane lane) noexcept {
-    submit_lane_.store(lane, std::memory_order_relaxed);
-  }
-  [[nodiscard]] SubmitLane submit_lane() const noexcept {
-    return submit_lane_.load(std::memory_order_relaxed);
-  }
 
  private:
   Tag tag_;
@@ -108,7 +98,6 @@ class SendRequest {
   std::atomic<sim::TimeNs> completion_time_{-1};
   sim::TimeNs submit_time_ = 0;
   GateId gate_ = 0;
-  std::atomic<SubmitLane> submit_lane_{kNoSubmitLane};
 };
 
 class RecvRequest {
@@ -155,13 +144,6 @@ class RecvRequest {
   void note_submit_time(sim::TimeNs t) noexcept { submit_time_ = t; }
   [[nodiscard]] sim::TimeNs submit_time() const noexcept { return submit_time_; }
   void note_gate(GateId g) noexcept { gate_ = g; }
-  /// See SendRequest::note_submit_lane.
-  void note_submit_lane(SubmitLane lane) noexcept {
-    submit_lane_.store(lane, std::memory_order_relaxed);
-  }
-  [[nodiscard]] SubmitLane submit_lane() const noexcept {
-    return submit_lane_.load(std::memory_order_relaxed);
-  }
 
  private:
   Tag tag_;
@@ -172,7 +154,6 @@ class RecvRequest {
   std::atomic<sim::TimeNs> completion_time_{-1};
   sim::TimeNs submit_time_ = 0;
   GateId gate_ = 0;
-  std::atomic<SubmitLane> submit_lane_{kNoSubmitLane};
 };
 
 using SendHandle = std::shared_ptr<SendRequest>;

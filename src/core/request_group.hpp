@@ -5,7 +5,7 @@
 //
 // A group only *observes* its handles (all queries read the requests'
 // atomic state), so it is safe to poll from the application thread while
-// progress threads settle the members. Adding handles is not synchronized:
+// the progress thread settles the members. Adding handles is not synchronized:
 // one thread owns the group.
 #pragma once
 

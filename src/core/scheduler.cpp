@@ -202,7 +202,7 @@ void Scheduler::submit_send(SendHandle req) {
     // All rails dead: nothing will ever move. Fail fast.
     const sim::TimeNs t = now_();
     req->fail(t);
-    notify_send_settled(*req, t);
+    notify_settled();
     return;
   }
 
@@ -261,7 +261,7 @@ void Scheduler::submit_recv(RecvHandle req) {
   if (g.failed_) {
     const sim::TimeNs t = now_();
     req->fail(t);
-    notify_recv_settled(*req, t);
+    notify_settled();
     return;
   }
 
@@ -449,20 +449,6 @@ void Scheduler::note_rail_post(Rail& rail, const drv::SendDesc& desc) {
   }
 }
 
-void Scheduler::notify_send_settled(const SendRequest& req, sim::TimeNs t) {
-  if (!completion_hook_) return;
-  completion_hook_(CompletionEvent{CompletionEvent::Kind::kSend, req.gate(),
-                                   req.tag(), req.seq(), req.total_len(), t,
-                                   req.failed(), req.submit_lane()});
-}
-
-void Scheduler::notify_recv_settled(const RecvRequest& req, sim::TimeNs t) {
-  if (!completion_hook_) return;
-  completion_hook_(CompletionEvent{CompletionEvent::Kind::kRecv, req.gate(),
-                                   req.tag(), req.seq(), req.received_len(), t,
-                                   req.failed(), req.submit_lane()});
-}
-
 void Scheduler::credit_contribs(Gate& /*gate*/,
                                 const std::vector<strat::Contribution>& contribs) {
   const sim::TimeNs t = now_();
@@ -472,7 +458,7 @@ void Scheduler::credit_contribs(Gate& /*gate*/,
     if (!was_completed && c.req->completed()) {
       metrics_.sends_completed.inc();
       metrics_.send_latency_ns.record(elapsed_ns(c.req->submit_time(), t));
-      notify_send_settled(*c.req, t);
+      notify_settled();
     }
   }
 }
@@ -526,12 +512,12 @@ void Scheduler::fail_gate(Gate& gate) {
   for (const auto& h : live_sends_) {
     if (h->gate() != gate.id() || h->done()) continue;
     h->fail(t);
-    notify_send_settled(*h, t);
+    notify_settled();
   }
   for (const auto& h : live_recvs_) {
     if (h->gate() != gate.id() || h->done()) continue;
     h->fail(t);
-    notify_recv_settled(*h, t);
+    notify_settled();
   }
 }
 
@@ -660,7 +646,7 @@ void Scheduler::try_finalize(Gate& gate, MsgKey key) {
   metrics_.recv_bytes_delivered.inc(inc.total_len);
   metrics_.recv_size.record(inc.total_len);
   metrics_.recv_latency_ns.record(elapsed_ns(inc.recv->submit_time(), t));
-  notify_recv_settled(*inc.recv, t);
+  notify_settled();
   gate.incoming_.erase(it);
 }
 

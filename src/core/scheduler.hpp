@@ -54,43 +54,21 @@ struct RequestMetrics {
                      const std::string& prefix) const;
 };
 
-/// A request settled (completed or failed). Fired by the scheduler on the
-/// progression engine, immediately after the request's state store, in
-/// settlement order. The threaded progression engine routes these into the
-/// submitting thread's completion ring so the application can observe
-/// cross-request ordering without locks. Ordering contract: *matching*
-/// within one (gate, tag) stream always follows seq order (the k-th recv
-/// gets the k-th message), but *settlement* reorders whenever transfers
-/// genuinely finish out of order — a small eager message overtakes an
-/// earlier rendezvous transfer, or multi-rail chunks land at different
-/// times. Only single-rail traffic on one track settles strictly in seq
-/// order. In the many-thread path each thread observes the events for ITS
-/// OWN requests in settlement order (its lane ring is FIFO); no order is
-/// defined between events delivered to different threads — see
-/// docs/ARCHITECTURE.md "Many-thread submission".
-struct CompletionEvent {
-  enum class Kind : std::uint8_t { kSend, kRecv };
-  Kind kind = Kind::kSend;
-  GateId gate = 0;
-  Tag tag = 0;
-  MsgSeq seq = 0;
-  std::uint32_t bytes = 0;  ///< message payload length
-  sim::TimeNs time = 0;     ///< settlement timestamp (clock fn)
-  bool failed = false;      ///< settled by failure, not completion
-  /// Submitting thread's engine lane (kNoSubmitLane for requests submitted
-  /// outside the threaded engine) — the completion routing key.
-  SubmitLane lane = kNoSubmitLane;
-};
-
 class Scheduler {
  public:
   /// `now` supplies timestamps for request completion (virtual time over
   /// the simulator; wall-clock for real drivers).
   using ClockFn = std::function<sim::TimeNs()>;
-  /// Observer for settled requests (see CompletionEvent). Runs on the
-  /// progression engine with the scheduler's serialization held — keep it
-  /// cheap and never call back into the scheduler from it.
-  using CompletionHook = std::function<void(const CompletionEvent&)>;
+  /// Observer called right after a request settles (completed or failed),
+  /// in settlement order. Runs on the progression engine with the
+  /// scheduler's serialization held — keep it cheap and never call back into
+  /// the scheduler from it. Ordering contract: *matching* within one (gate,
+  /// tag) stream always follows seq order (the k-th recv gets the k-th
+  /// message), but *settlement* reorders whenever transfers genuinely finish
+  /// out of order — a small eager message overtakes an earlier rendezvous
+  /// transfer, or multi-rail chunks land at different times. Only
+  /// single-rail traffic on one track settles strictly in seq order.
+  using CompletionHook = std::function<void()>;
   /// `defer(fn)` runs fn at the next progression point (a zero-delay event
   /// on the simulator; the next progress() round for real drivers). This is
   /// what disconnects request processing from the API calls (paper §2): an
@@ -132,7 +110,7 @@ class Scheduler {
   // --- split submission (threaded progression) ----------------------------
   // make_* builds and stamps the request without touching any gate or
   // scheduler mutable state (the request metrics are atomic), so it is safe
-  // on the application thread with progress threads live. submit_* binds
+  // on the application thread with the progress thread live. submit_* binds
   // the per-(gate, tag) sequence number and hands the request to the
   // strategy; it must run on the progression engine (under its lock in
   // threaded mode). Requests must reach submit_* in make_* order per
@@ -145,8 +123,9 @@ class Scheduler {
                                      std::span<std::byte> buffer);
   void submit_recv(RecvHandle req);
 
-  /// Install the settled-request observer (nullptr to remove). Installed
-  /// before progress threads start; not thread-safe against them.
+  /// Install the settled-request observer (nullptr to remove). Not
+  /// thread-safe against the progression engine: in threaded mode install
+  /// it under the world progress mutex.
   void set_completion_hook(CompletionHook hook) {
     completion_hook_ = std::move(hook);
   }
@@ -208,8 +187,9 @@ class Scheduler {
   void try_finalize(Gate& gate, MsgKey key);
   void enqueue_ack(Gate& gate, MsgKey key);
   void sweep_completed();
-  void notify_send_settled(const SendRequest& req, sim::TimeNs t);
-  void notify_recv_settled(const RecvRequest& req, sim::TimeNs t);
+  void notify_settled() {
+    if (completion_hook_) completion_hook_();
+  }
 
   ClockFn now_;
   DeferFn defer_;

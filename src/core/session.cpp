@@ -45,26 +45,18 @@ Session::~Session() = default;
 
 void Session::start_threaded(std::mutex& world_mutex, sim::Engine* engine,
                              std::size_t threads, std::function<void()> idle,
-                             std::function<bool(std::size_t)> poll,
-                             std::size_t submit_ring_capacity,
-                             std::size_t completion_ring_capacity) {
+                             std::size_t submit_ring_capacity) {
   NMAD_ASSERT(progress_engine_ == nullptr, "session already threaded");
+  NMAD_ASSERT(threads <= 1, "one progress thread per world");
   ProgressEngine::Config cfg;
-  cfg.threads = threads == 0 ? 1 : threads;
   cfg.submission_capacity = submit_ring_capacity != 0
                                 ? submit_ring_capacity
                                 : ring_capacity_from_env("NMAD_SUBMIT_RING_CAP",
                                                          cfg.submission_capacity);
-  cfg.completion_capacity =
-      completion_ring_capacity != 0
-          ? completion_ring_capacity
-          : ring_capacity_from_env("NMAD_COMPLETION_RING_CAP",
-                                   cfg.completion_capacity);
   ProgressEngine::Hooks hooks;
   hooks.lock = &world_mutex;
   hooks.engine = engine;
   hooks.idle = std::move(idle);
-  hooks.poll = std::move(poll);
   progress_engine_ =
       std::make_unique<ProgressEngine>(scheduler_, cfg, std::move(hooks));
 }

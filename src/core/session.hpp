@@ -84,34 +84,33 @@ class Session {
 
   // --- threaded progression (core/progress.hpp) ---------------------------
   /// Switch this session to threaded progression: each submitting app
-  /// thread gets its own lock-free submission/completion ring pair and
-  /// `threads` progress threads (one per rail) drive the scheduler under
-  /// `world_mutex`. Later connect()s are allowed if made under
-  /// `world_mutex` (lazy establishment); all sessions sharing
-  /// `engine` must be stop_threaded()'d before any of them is destroyed
-  /// (engine events cross sessions). `engine` may be null for real
-  /// drivers — then `poll` does the work. `idle` runs under the lock when
-  /// a progress round moves nothing. `submit_ring_capacity` /
-  /// `completion_ring_capacity` size each per-thread ring; 0 follows
-  /// NMAD_SUBMIT_RING_CAP / NMAD_COMPLETION_RING_CAP, else the engine
-  /// defaults (1024 / 4096).
+  /// thread gets its own lock-free submission ring, and the one progress
+  /// thread of the world keyed by `world_mutex` (started by the first
+  /// session to attach) drives the scheduler under that mutex. `threads`
+  /// must be 1 (or 0): there is one progress thread per world. Later
+  /// connect()s are allowed if made under `world_mutex` (lazy
+  /// establishment); all sessions sharing `engine` must be
+  /// stop_threaded()'d before any of them is destroyed (engine events
+  /// cross sessions). `idle` runs under the lock when a progress round
+  /// moves nothing. `submit_ring_capacity` sizes each per-thread ring; 0
+  /// follows NMAD_SUBMIT_RING_CAP, else the engine default (1024). Never
+  /// call it while holding a submission_burst().
   void start_threaded(std::mutex& world_mutex, sim::Engine* engine,
-                      std::size_t threads,
+                      std::size_t threads = 1,
                       std::function<void()> idle = nullptr,
-                      std::function<bool(std::size_t)> poll = nullptr,
-                      std::size_t submit_ring_capacity = 0,
-                      std::size_t completion_ring_capacity = 0);
-  /// Join the progress threads and fall back to serial entry points.
+                      std::size_t submit_ring_capacity = 0);
+  /// Detach from the world's progress thread and fall back to serial entry
+  /// points (the last session of a world joins the thread).
   void stop_threaded();
   [[nodiscard]] bool threaded() const noexcept {
     return progress_engine_ != nullptr;
   }
-  /// The live engine in threaded mode (per-thread completion rings,
-  /// backpressure counters); null in serial mode.
+  /// The live engine in threaded mode (submission lanes, counters); null
+  /// in serial mode.
   [[nodiscard]] ProgressEngine* progress_engine() noexcept {
     return progress_engine_.get();
   }
-  /// Burst scope: in threaded mode, blocks the progress threads while the
+  /// Burst scope: in threaded mode, blocks the progress thread while the
   /// returned lock is held so a series of isend/irecv calls lands in one
   /// strategy optimization window (the serial semantics). Returns an empty
   /// (lock-free) guard in serial mode.
@@ -194,7 +193,7 @@ class Session {
   Scheduler scheduler_;
   ProgressFn progress_;
   /// Live only in threaded mode. Declared after scheduler_ so it is
-  /// destroyed (threads joined, completion hook removed) first.
+  /// destroyed (detached, completion hook removed) first.
   std::unique_ptr<ProgressEngine> progress_engine_;
   std::vector<PendingUnpack> pending_unpacks_;
 };

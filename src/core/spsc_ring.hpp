@@ -1,13 +1,13 @@
 // Bounded lock-free single-producer/single-consumer ring buffer — the
-// submission and completion queues between the application thread and the
-// threaded progression engine (core/progress.hpp).
+// submission queues between the application threads and the threaded
+// progression engine (core/progress.hpp).
 //
 // Contract:
 //  - exactly ONE thread calls try_push (the producer) and exactly ONE
 //    thread calls try_pop (the consumer) at any point in time. "One
 //    thread" may be a changing identity as long as successive calls on
-//    the same side are ordered by a happens-before edge (e.g. progress
-//    threads that take turns draining under the engine lock);
+//    the same side are ordered by a happens-before edge (e.g. threads
+//    that take turns draining under the world lock);
 //  - capacity is rounded up to a power of two; the ring holds exactly
 //    `capacity()` elements before try_push reports full;
 //  - elements are moved in and out; a popped slot's element is destroyed
@@ -36,10 +36,10 @@ namespace nmad::core {
 /// right for every target we build on.
 inline constexpr std::size_t kCacheLineSize = 64;
 
-/// Escalating backoff for ring spin loops: stay hot for a few rounds, then
+/// Escalating backoff for a full-ring spin: stay hot for a few rounds, then
 /// yield, then sleep — latency matters less than not burning a core once
-/// the peer side has gone quiet. Shared by every full-ring / idle spin in
-/// the threaded progression engine so backpressure behaves uniformly.
+/// the consumer side has stalled. Used only by the counted full-submission
+/// path (spsc_push_backoff); idle threads park on a Doorbell instead.
 inline void ring_backoff(std::uint32_t round) {
   if (round < 16) return;
   if (round < 64) {

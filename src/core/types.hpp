@@ -41,17 +41,6 @@ inline constexpr Tag kReservedTagBase = 0xffff0000u;
 /// Index of a rail within a gate.
 using RailIndex = std::uint32_t;
 
-/// Index of a per-thread submission/completion lane inside one threaded
-/// progression engine (core/progress.hpp). Lanes are allocated densely per
-/// engine, one per submitting application thread, on that thread's first
-/// submit.
-using SubmitLane = std::uint32_t;
-
-/// "No lane": the request was submitted synchronously (serial mode) or by
-/// a path that bypassed the engine — its completion event routes to the
-/// engine's shared fallback queue instead of a per-thread ring.
-inline constexpr SubmitLane kNoSubmitLane = 0xffffffffu;
-
 /// Identifies one gate within one scheduler.
 using GateId = std::uint32_t;
 

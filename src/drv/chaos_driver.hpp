@@ -19,9 +19,9 @@
 //
 // Thread safety: like every driver, not internally synchronized — the
 // buffer, RNG and stats are touched only under the world progress mutex.
-// In threaded mode, flush() is typically wired as the progress threads'
-// idle hook (runs under the lock); tests reading stats() with progress
-// threads live must take the world mutex first.
+// In threaded mode, flush() is typically wired as the progress thread's
+// idle hook (runs under the lock); tests reading stats() with the progress
+// thread live must take the world mutex first.
 #pragma once
 
 #include <array>

@@ -17,7 +17,7 @@
 // Thread safety: drivers are NOT internally synchronized. Every entry —
 // post_send, deliver upcalls, stats reads — happens with the world
 // progress mutex held: on the application thread in serial mode, on the
-// progress threads in threaded mode (core/progress.hpp). Implementations
+// world's progress thread in threaded mode (core/progress.hpp). Implementations
 // must not spawn their own threads that touch driver state without taking
 // that same lock.
 #pragma once

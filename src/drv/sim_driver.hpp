@@ -15,7 +15,7 @@
 // engine events; post_send and the event callbacks run with the world
 // progress mutex held in threaded mode (engine steppers are serialized by
 // it), so no internal locking is needed. Read stats only under that mutex
-// while progress threads are live.
+// while the progress thread is live.
 #pragma once
 
 #include <array>

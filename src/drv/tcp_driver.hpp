@@ -19,10 +19,11 @@
 // up as non-owning spans.
 //
 // Thread safety: no internal locks. post_send and progress() (the poll
-// that drains sockets and fires deliver upcalls) must both run under the
-// world progress mutex; with threaded progression, wire progress() as the
-// ProgressEngine poll hook so a progress thread owns the sockets while
-// the application thread stays on the lock-free submission path.
+// that drains sockets and fires deliver upcalls) must run on one thread at
+// a time — RealWorld::progress_until from the application thread. Threaded
+// progression does not drive sockets: its progress thread parks on a
+// doorbell that submissions and sim-engine events ring, and a socket has no
+// ring point until a readiness doorbell (e.g. epoll) exists.
 #pragma once
 
 #include <sys/uio.h>

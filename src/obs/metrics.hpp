@@ -11,8 +11,9 @@
 //    no-op shell with the identical API, so instrumented code builds
 //    unchanged and readers observe zeros;
 //  - race-free under the threaded progression engine: every cell is a
-//    std::atomic updated with memory_order_relaxed, so per-rail progress
-//    threads increment concurrently without serializing on each other.
+//    std::atomic updated with memory_order_relaxed, so the progress
+//    thread and application threads increment concurrently without
+//    serializing on each other.
 //    Relaxed ordering is sufficient — metrics are monotonic event tallies
 //    read on the cold path (snapshots), never used for synchronization.
 //    Cross-cell consistency (e.g. a histogram's count vs its buckets) is
@@ -22,7 +23,7 @@
 // The types are copyable (setup-time convenience: Rail vectors move while
 // gates are assembled); copies transfer the current values with relaxed
 // loads and must not race with concurrent writers — which holds because
-// copies only happen before the progress threads start.
+// copies only happen before the progress thread starts.
 #pragma once
 
 #include <array>

@@ -8,16 +8,22 @@ namespace nmad::sim {
 
 EventId Engine::schedule(TimeNs delay, Callback cb) {
   NMAD_ASSERT(delay >= 0, "negative event delay");
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  return queue_.schedule_at(now_.load(std::memory_order_relaxed) + delay,
-                            std::move(cb));
+  std::unique_lock<std::mutex> lock(queue_mutex_);
+  const EventId id = queue_.schedule_at(
+      now_.load(std::memory_order_relaxed) + delay, std::move(cb));
+  lock.unlock();
+  if (wake_hook_) wake_hook_();
+  return id;
 }
 
 EventId Engine::schedule_at(TimeNs at, Callback cb) {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
+  std::unique_lock<std::mutex> lock(queue_mutex_);
   NMAD_ASSERT(at >= now_.load(std::memory_order_relaxed),
               "scheduling into the past");
-  return queue_.schedule_at(at, std::move(cb));
+  const EventId id = queue_.schedule_at(at, std::move(cb));
+  lock.unlock();
+  if (wake_hook_) wake_hook_();
+  return id;
 }
 
 bool Engine::step() {

@@ -17,6 +17,9 @@
 //    schedule/cancel further events. Whatever lock serializes the
 //    steppers is still held, so callbacks that enter the scheduling
 //    layer remain mutually excluded.
+//  - the wake hook (set_wake_hook) runs after every schedule, once the new
+//    event is in the queue. Threaded progression installs one to ring its
+//    progress thread's doorbell; serial mode leaves it unset.
 #pragma once
 
 #include <atomic>
@@ -66,6 +69,12 @@ class Engine {
   /// Fire exactly one event if any is pending. Returns false on empty queue.
   bool step();
 
+  /// Run `hook` after every schedule/schedule_at, outside the queue mutex
+  /// (nullptr removes it). Install and remove it under the same lock that
+  /// serializes every scheduling caller (SimWorld::progress_mutex() in
+  /// threaded mode): the hook itself is not synchronized.
+  void set_wake_hook(std::function<void()> hook) { wake_hook_ = std::move(hook); }
+
   [[nodiscard]] bool idle() const noexcept {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     return queue_.empty();
@@ -83,6 +92,7 @@ class Engine {
   EventQueue queue_;
   std::atomic<TimeNs> now_{0};
   std::atomic<std::uint64_t> fired_{0};
+  std::function<void()> wake_hook_;
 };
 
 }  // namespace nmad::sim

@@ -95,24 +95,24 @@ struct ChaosFixture {
       : ChaosFixture(seed, strategy,
                      drv::ChaosConfig::uniform(drv::FaultProfile{}, window)) {}
 
-  /// Switch both sessions to threaded progression: one progress thread per
-  /// rail, sharing the world mutex. The idle hook replaces the serial
-  /// progress callback's chaos-buffer flush — it runs on a progress thread
-  /// under the world mutex whenever the engine drains, releasing packets
-  /// the window is holding back so the run cannot stall below the window.
+  /// Switch both sessions to threaded progression: one progress thread for
+  /// the world, keyed by the world mutex. The idle hook replaces the serial
+  /// progress callback's chaos-buffer flush — it runs on the progress
+  /// thread under the world mutex whenever the engine drains, releasing
+  /// packets the window is holding back so the run cannot stall below the
+  /// window.
   void start_threaded() {
     auto idle = [this] {
       for (auto& w : wrappers) w->flush();
     };
-    const std::size_t threads = wrappers.size() / 2;  // one per rail
-    a->start_threaded(world.progress_mutex(), &world.engine(), threads, idle);
-    b->start_threaded(world.progress_mutex(), &world.engine(), threads, idle);
+    a->start_threaded(world.progress_mutex(), &world.engine(), 1, idle);
+    b->start_threaded(world.progress_mutex(), &world.engine(), 1, idle);
   }
 
   ~ChaosFixture() {
-    // Progress threads of BOTH sessions must stop before either session
-    // dies: engine events cross sessions, so a live thread of one could
-    // step a callback into the other's freed scheduler. No-op in serial.
+    // BOTH sessions must detach before either session dies: engine events
+    // cross sessions, so the world thread, still serving one, could step a
+    // callback into the other's freed scheduler. No-op in serial.
     a->stop_threaded();
     b->stop_threaded();
     // Drain the chaos buffers while the sessions (the deliver upcall
@@ -279,13 +279,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFaultSoak,
                          });
 
 // --------------------------------------------------------------------------
-// Threaded chaos soak: the same fault profile with per-rail progress
-// threads driving the engine. The contract is unchanged — every wave
+// Threaded chaos soak: the same fault profile with the world's progress
+// thread driving the engine. The contract is unchanged — every wave
 // either delivers byte-identical payloads or reports a dead gate, never a
 // hang (the progression engine's stall watchdog panics a genuine deadlock,
 // and a wall-clock bound catches pathological slowdowns) and never wrong
 // bytes. All non-atomic chaos/gate state is read under the world progress
-// mutex, which serializes against the live progress threads.
+// mutex, which serializes against the live progress thread.
 // --------------------------------------------------------------------------
 
 class ThreadedChaosFaultSoak : public ::testing::TestWithParam<std::uint64_t> {};

@@ -20,10 +20,17 @@ TEST(Session, TestReflectsCompletion) {
   TwoNodePlatform p(paper_platform("single_rail"));
   std::vector<std::byte> payload(100, std::byte{1});
   std::vector<std::byte> sink(100);
-  auto recv = p.b().irecv(p.gate_ba(), 0, sink);
-  auto send = p.a().isend(p.gate_ab(), 0, payload);
-  EXPECT_FALSE(Session::test(send));
-  EXPECT_FALSE(Session::test(recv));
+  RecvHandle recv;
+  SendHandle send;
+  {
+    // Hold progression across the checks: in threaded mode the progress
+    // thread could otherwise settle both requests before test() runs.
+    auto burst = p.a().submission_burst();
+    recv = p.b().irecv(p.gate_ba(), 0, sink);
+    send = p.a().isend(p.gate_ab(), 0, payload);
+    EXPECT_FALSE(Session::test(send));
+    EXPECT_FALSE(Session::test(recv));
+  }
   p.b().wait(recv);
   p.a().wait(send);
   EXPECT_TRUE(Session::test(send));

@@ -1,22 +1,27 @@
 // Threaded progression engine: byte-identity against serial mode across
-// the PIO/rendezvous boundary, completion-event ordering guarantees, mode
-// resolution, and shutdown robustness. These tests pin kThreaded
-// explicitly so they exercise the progress threads even when the suite
-// runs without NMAD_PROGRESS_MODE set.
+// the PIO/rendezvous boundary, completion ordering guarantees, mode
+// resolution, parking, the stall watchdog and shutdown robustness. These
+// tests pin kThreaded explicitly so they exercise the progress thread even
+// when the suite runs without NMAD_PROGRESS_MODE set.
 #include <gtest/gtest.h>
+
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <map>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/platform.hpp"
 #include "core/progress.hpp"
 #include "obs/registry.hpp"
+#include "sim/engine.hpp"
+#include "util/panic.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -34,6 +39,30 @@ std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
 PlatformConfig pin_threaded(PlatformConfig cfg) {
   cfg.progress_mode = ProgressMode::kThreaded;
   return cfg;
+}
+
+/// Threads of this process (Linux).
+std::size_t thread_count_now() {
+  namespace fs = std::filesystem;
+  return static_cast<std::size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator{}));
+}
+
+double cpu_seconds(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// One small A->B message, waited on both sides.
+void exchange_one(TwoNodePlatform& p) {
+  const std::vector<std::byte> payload(64, std::byte{7});
+  std::vector<std::byte> sink(64);
+  auto recv = p.b().irecv(p.gate_ba(), 0, sink);
+  auto send = p.a().isend(p.gate_ab(), 0, payload);
+  p.b().wait(recv);
+  p.a().wait(send);
+  ASSERT_EQ(sink, payload);
 }
 
 // --- mode resolution ---------------------------------------------------------
@@ -69,8 +98,20 @@ TEST(ProgressMode, PlatformReportsResolvedMode) {
   EXPECT_EQ(threaded.progress_mode(), ProgressMode::kThreaded);
   EXPECT_TRUE(threaded.a().threaded());
   EXPECT_TRUE(threaded.b().threaded());
-  // One progress thread per rail (the paper platform has two rails).
-  EXPECT_EQ(threaded.a().progress_engine()->thread_count(), 2u);
+  // One progress thread per world, shared by both sessions (and both
+  // rails): detaching the last session joins exactly one thread.
+  EXPECT_EQ(threaded.a().progress_engine()->thread_count(), 1u);
+  const std::size_t threads_running = thread_count_now();
+  threaded.a().stop_threaded();
+  EXPECT_EQ(thread_count_now(), threads_running);
+  threaded.b().stop_threaded();
+  // A joined thread can linger in /proc for a moment while it is reaped.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (thread_count_now() + 1 > threads_running &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(threads_running - thread_count_now(), 1u);
 }
 
 // --- byte identity vs serial -------------------------------------------------
@@ -154,12 +195,12 @@ TEST(ThreadedProgress, MultiStrategyBurstBothDirections) {
   }
 }
 
-// --- completion-event ordering ----------------------------------------------
+// --- completion ordering -----------------------------------------------------
 
-// Contract (see CompletionEvent in core/scheduler.hpp): single-rail
+// Contract (see Scheduler::CompletionHook): single-rail
 // traffic on one track settles strictly in seq order within a (gate, tag)
-// stream — the eager track is FIFO and matching is sequential, so the
-// completion ring must never show a same-stream inversion there.
+// stream — the eager track is FIFO and matching is sequential, so no
+// stream may show a request completing before an earlier one.
 TEST(ThreadedProgress, SingleRailEagerCompletionsInSeqOrder) {
   PlatformConfig cfg = pin_threaded(paper_platform("single_rail"));
   TwoNodePlatform p(std::move(cfg));
@@ -187,36 +228,41 @@ TEST(ThreadedProgress, SingleRailEagerCompletionsInSeqOrder) {
     ASSERT_EQ(sinks[i], payloads[i]);
   }
 
-  // Drain B's completion ring: per (kind, gate, tag) stream, seqs must be
-  // exactly 0..kPerTag-1 in order. At this volume (90 events vs capacity
-  // 4096) nothing may have stalled or spilled to the overflow list.
-  ProgressEngine* engine_b = p.b().progress_engine();
-  ASSERT_NE(engine_b, nullptr);
-  EXPECT_EQ(engine_b->completion_stalls(), 0u);
-  EXPECT_EQ(engine_b->completion_overflows(), 0u);
-  std::map<std::tuple<CompletionEvent::Kind, GateId, proto::Tag>,
-           std::vector<proto::MsgSeq>>
-      streams;
-  CompletionEvent ev;
-  std::size_t total = 0;
-  while (engine_b->pop_completion(ev)) {
-    EXPECT_FALSE(ev.failed);
-    streams[{ev.kind, ev.gate, ev.tag}].push_back(ev.seq);
-    ++total;
-  }
-  EXPECT_EQ(total, static_cast<std::size_t>(kPerTag * kTags));  // all recvs
-  for (const auto& [key, seqs] : streams) {
-    ASSERT_EQ(seqs.size(), static_cast<std::size_t>(kPerTag));
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-      EXPECT_EQ(seqs[i], i) << "single-rail stream completion out of seq order";
+  // Per (gate, tag) stream, in seq order: seqs are exactly 0..kPerTag-1
+  // and completion times never go backwards, for sends and receives alike.
+  for (int tag = 0; tag < kTags; ++tag) {
+    sim::TimeNs last_send = -1;
+    sim::TimeNs last_recv = -1;
+    for (int k = 0; k < kPerTag; ++k) {
+      const SendHandle& s = sends[k * kTags + tag];
+      const RecvHandle& r = recvs[k * kTags + tag];
+      ASSERT_TRUE(s->completed());
+      ASSERT_TRUE(r->completed());
+      EXPECT_EQ(s->seq(), static_cast<proto::MsgSeq>(k));
+      EXPECT_EQ(r->seq(), static_cast<proto::MsgSeq>(k));
+      EXPECT_GE(s->completion_time(), last_send)
+          << "single-rail send stream completed out of seq order";
+      EXPECT_GE(r->completion_time(), last_recv)
+          << "single-rail recv stream completed out of seq order";
+      last_send = s->completion_time();
+      last_recv = r->completion_time();
     }
   }
+  // Every settlement reached the completion hook exactly once. The hook
+  // runs under the world lock, so taking it orders this read after the
+  // last one.
+  { auto quiesce = p.b().submission_burst(); }
+  EXPECT_EQ(p.b().progress_engine()->completions(),
+            static_cast<std::uint64_t>(kPerTag * kTags));
+  EXPECT_EQ(p.a().progress_engine()->completions(),
+            static_cast<std::uint64_t>(kPerTag * kTags));
 }
 
 // With multiple rails and mixed sizes, same-stream settlement MAY reorder
 // (a small eager message overtakes an earlier rendezvous transfer) — but
-// the event set per stream must still be a complete, duplicate-free
-// permutation, and matching stays byte-exact in post order.
+// each stream must still settle every request exactly once, with seqs a
+// complete, duplicate-free permutation, and matching stays byte-exact in
+// post order.
 TEST(ThreadedProgress, MultiRailCompletionsArePermutationPerStream) {
   TwoNodePlatform p(pin_threaded(paper_platform("aggreg_greedy")));
   constexpr int kPerTag = 30;
@@ -245,25 +291,27 @@ TEST(ThreadedProgress, MultiRailCompletionsArePermutationPerStream) {
     ASSERT_EQ(sinks[i], payloads[i]);
   }
 
-  ProgressEngine* engine_b = p.b().progress_engine();
-  ASSERT_NE(engine_b, nullptr);
-  EXPECT_EQ(engine_b->completion_stalls(), 0u);
-  EXPECT_EQ(engine_b->completion_overflows(), 0u);
-  std::map<std::tuple<CompletionEvent::Kind, GateId, proto::Tag>,
-           std::vector<proto::MsgSeq>>
-      streams;
-  CompletionEvent ev;
-  while (engine_b->pop_completion(ev)) {
-    EXPECT_FALSE(ev.failed);
-    streams[{ev.kind, ev.gate, ev.tag}].push_back(ev.seq);
-  }
-  for (auto& [key, seqs] : streams) {
-    ASSERT_EQ(seqs.size(), static_cast<std::size_t>(kPerTag));
+  // Each stream's requests, ordered by completion time, carry every seq
+  // exactly once.
+  for (int tag = 0; tag < kTags; ++tag) {
+    std::vector<std::pair<sim::TimeNs, proto::MsgSeq>> settled;
+    for (int k = 0; k < kPerTag; ++k) {
+      const RecvHandle& r = recvs[k * kTags + tag];
+      ASSERT_TRUE(r->completed());
+      EXPECT_GE(r->completion_time(), 0);
+      settled.emplace_back(r->completion_time(), r->seq());
+    }
+    std::sort(settled.begin(), settled.end());
+    std::vector<proto::MsgSeq> seqs;
+    for (const auto& [time, seq] : settled) seqs.push_back(seq);
     std::sort(seqs.begin(), seqs.end());
     for (std::size_t i = 0; i < seqs.size(); ++i) {
-      EXPECT_EQ(seqs[i], i) << "stream events lost or duplicated";
+      EXPECT_EQ(seqs[i], i) << "stream requests lost or duplicated";
     }
   }
+  { auto quiesce = p.b().submission_burst(); }
+  EXPECT_EQ(p.b().progress_engine()->completions(),
+            static_cast<std::uint64_t>(kPerTag * kTags));
 }
 
 // Submission-order preservation: N same-tag messages posted back-to-back
@@ -344,7 +392,7 @@ class MultiThreadSoak : public ::testing::TestWithParam<unsigned> {};
 // T producer threads, {send, recv} interleaved across both sessions, vs
 // the identical pattern run serially: every stream must deliver the same
 // bytes. Under TSan (CI tsan-threaded job) this is the concurrency proof
-// for lane registration, per-lane rings and completion routing.
+// for lane registration, per-lane rings and parked waiters.
 TEST_P(MultiThreadSoak, ProducersAcrossTwoSessionsByteIdenticalToSerial) {
   const unsigned kThreads = GetParam();
   constexpr int kMessages = 25;
@@ -372,18 +420,6 @@ TEST_P(MultiThreadSoak, ProducersAcrossTwoSessionsByteIdenticalToSerial) {
     for (auto& w : workers) w.join();
     for (unsigned t = 0; t < kThreads; ++t) check_worker(traffic[t], t);
 
-    // Lossless stack: lanes registered for every producer, nothing dropped
-    // (the drop counter is gone by design — overflow is the counted,
-    // lossless fallback and this volume must not even need it).
-    ProgressEngine* ea = p.a().progress_engine();
-    ProgressEngine* eb = p.b().progress_engine();
-    ASSERT_NE(ea, nullptr);
-    ASSERT_NE(eb, nullptr);
-    EXPECT_GE(ea->lane_count(), kThreads);
-    EXPECT_GE(eb->lane_count(), kThreads);
-    EXPECT_EQ(ea->completion_overflows(), 0u);
-    EXPECT_EQ(eb->completion_overflows(), 0u);
-
     // The engines' ground-truth counters register as metrics (and stay
     // live even with NMAD_METRICS=OFF).
     obs::MetricsRegistry registry;
@@ -391,7 +427,6 @@ TEST_P(MultiThreadSoak, ProducersAcrossTwoSessionsByteIdenticalToSerial) {
     const auto snap = registry.snapshot();
     ASSERT_TRUE(snap.counters.contains("a.progress.completions"));
     EXPECT_GT(snap.counters.at("a.progress.completions"), 0u);
-    EXPECT_EQ(snap.counters.at("a.progress.ring.overflows"), 0u);
   }
 
   // Byte identity threaded vs serial, stream by stream.
@@ -406,50 +441,6 @@ INSTANTIATE_TEST_SUITE_P(ProducerCounts, MultiThreadSoak,
                          [](const auto& pinfo) {
                            return std::to_string(pinfo.param) + "threads";
                          });
-
-// Completion routing: each submitting thread must observe exactly the
-// events for ITS OWN requests on its completion ring — nothing foreign,
-// nothing missing — while T threads submit concurrently.
-TEST(ThreadedProgress, CompletionEventsRouteToSubmittingThread) {
-  TwoNodePlatform p(pin_threaded(paper_platform("aggreg_greedy")));
-  constexpr unsigned kThreads = 4;
-  constexpr int kMessages = 20;
-  std::atomic<bool> failed{false};
-
-  auto worker = [&](unsigned t) {
-    WorkerTraffic w;
-    run_worker(p, t, kMessages, w);
-    check_worker(w, t);
-    const auto tag_ab = static_cast<proto::Tag>(t);
-    const auto tag_ba = static_cast<proto::Tag>(100 + t);
-    // This thread submitted, per engine: kMessages sends + kMessages recvs
-    // (A: tag_ab sends + tag_ba recvs; B: tag_ba sends + tag_ab recvs).
-    // Events can trail the done() flag by one hook call, so spin until all
-    // arrive; every event popped here must carry one of this thread's tags.
-    for (Session* s : {&p.a(), &p.b()}) {
-      std::size_t mine = 0;
-      CompletionEvent ev;
-      while (mine < 2 * static_cast<std::size_t>(kMessages)) {
-        if (!s->progress_engine()->pop_completion(ev)) {
-          std::this_thread::yield();
-          continue;
-        }
-        ++mine;
-        if (ev.tag != tag_ab && ev.tag != tag_ba) {
-          failed.store(true);
-          ADD_FAILURE() << "thread " << t << " received foreign event tag "
-                        << ev.tag << " on session " << s->name();
-          return;
-        }
-      }
-    }
-  };
-
-  std::vector<std::thread> workers;
-  for (unsigned t = 0; t < kThreads; ++t) workers.emplace_back(worker, t);
-  for (auto& w : workers) w.join();
-  EXPECT_FALSE(failed.load());
-}
 
 // Bursts held simultaneously on both sessions by different threads: they
 // share the ONE world mutex, so they serialize (never deadlock, never
@@ -535,71 +526,68 @@ TEST(ThreadedProgress, FlushDrainsAllThreadsLanes) {
   EXPECT_EQ(p.b().scheduler().metrics().unexpected_msgs.value(), 0u);
 }
 
-// A completion ring too small for the traffic must spill (counted), never
-// drop: with capacity 2 and nobody popping during the run, all events must
-// still be delivered afterwards, oldest-first per lane.
-TEST(ThreadedProgress, TinyCompletionRingOverflowsLosslessly) {
-  PlatformConfig cfg = pin_threaded(paper_platform("single_rail"));
-  cfg.completion_ring_capacity = 2;
-  TwoNodePlatform p(std::move(cfg));
-  constexpr int kMessages = 40;
-  constexpr std::size_t kSize = 256;  // eager-only: settles in seq order
+// --- parking and the stall watchdog ------------------------------------------
 
-  std::vector<std::vector<std::byte>> payloads, sinks;
-  std::vector<SendHandle> sends;
-  std::vector<RecvHandle> recvs;
-  for (int i = 0; i < kMessages; ++i) {
-    payloads.push_back(random_bytes(kSize, 3000 + i));
-    sinks.emplace_back(kSize, std::byte{0});
-  }
-  for (int i = 0; i < kMessages; ++i) {
-    recvs.push_back(p.b().irecv(p.gate_ba(), 5, sinks[i]));
-  }
-  for (int i = 0; i < kMessages; ++i) {
-    sends.push_back(p.a().isend(p.gate_ab(), 5, payloads[i]));
-  }
-  p.b().wait_all(sends, recvs);
-  for (int i = 0; i < kMessages; ++i) {
-    ASSERT_EQ(sinks[i], payloads[i]);
-  }
+// Nobody ever sends: the world goes quiet and wait() must panic once the
+// watchdog has seen stall_timeout_ms (5 s) of unbroken quiet — neither
+// hang nor return silently.
+TEST(ThreadedProgress, WaitOnUnmatchableRequestPanics) {
+  util::set_panic_hook(+[](std::string_view msg) {
+    throw std::runtime_error(std::string(msg));
+  });
+  TwoNodePlatform p(pin_threaded(paper_platform("single_rail")));
+  std::vector<std::byte> sink(10);
+  auto recv = p.b().irecv(p.gate_ba(), 0, sink);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(p.b().wait(recv), std::runtime_error);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(waited, std::chrono::seconds(5));
+  EXPECT_LT(waited, std::chrono::seconds(20)) << "watchdog fired late";
+  util::set_panic_hook(nullptr);
+}
 
-  ProgressEngine* engine_b = p.b().progress_engine();
-  ASSERT_NE(engine_b, nullptr);
-  // 40 recv events hit a 2-slot ring with no consumer: the spill path ran.
-  EXPECT_GT(engine_b->completion_overflows(), 0u);
-  // ... but every event is still delivered, in seq order (single rail,
-  // eager track, one stream): ring entries first, then the overflow list.
-  // Events can trail the done() flag by one hook call, so spin them in.
-  CompletionEvent ev;
-  std::size_t total = 0;
-  while (total < static_cast<std::size_t>(kMessages)) {
-    if (!engine_b->pop_completion(ev)) {
-      std::this_thread::yield();
-      continue;
-    }
-    EXPECT_EQ(ev.kind, CompletionEvent::Kind::kRecv);
-    EXPECT_EQ(ev.tag, 5u);
-    EXPECT_EQ(ev.seq, total);
-    ++total;
+// An idle threaded world parks: over one second, every thread but this
+// (sleeping) one together burns under 5% of a core.
+TEST(ThreadedProgress, IdleWorldParks) {
+  TwoNodePlatform p(pin_threaded(paper_platform("aggreg_greedy")));
+  exchange_one(p);
+  const double process0 = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID);
+  const double self0 = cpu_seconds(CLOCK_THREAD_CPUTIME_ID);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double others = (cpu_seconds(CLOCK_PROCESS_CPUTIME_ID) - process0) -
+                        (cpu_seconds(CLOCK_THREAD_CPUTIME_ID) - self0);
+  EXPECT_LT(others, 0.05) << "idle progress thread burned " << others
+                          << " s of CPU in 1 s";
+}
+
+// An engine event scheduled by the application thread under the world
+// mutex (what the chaos tests do with kill()/kill_link()) must wake the
+// parked progress thread and run without any further submit or wait.
+TEST(ThreadedProgress, AppThreadEngineEventWakesWorld) {
+  TwoNodePlatform p(pin_threaded(paper_platform("aggreg_greedy")));
+  exchange_one(p);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+  std::atomic<bool> fired{false};
+  {
+    std::lock_guard<std::mutex> lock(p.world().progress_mutex());
+    p.world().engine().schedule(1000, [&fired] { fired.store(true); });
   }
-  EXPECT_FALSE(engine_b->pop_completion(ev));  // nothing duplicated
-  EXPECT_EQ(engine_b->completions_enqueued(), static_cast<std::uint64_t>(kMessages));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!fired.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(fired.load()) << "parked progress thread missed an engine event";
 }
 
 // --- shutdown ---------------------------------------------------------------
 
 TEST(ThreadedProgress, CleanShutdownWithIdleThreads) {
-  // Construct, move a little data, destroy. Threads must join without
-  // hanging even though they are mid-backoff.
+  // Construct, move a little data, destroy. The thread must join without
+  // hanging even though it is parked.
   for (int i = 0; i < 5; ++i) {
     TwoNodePlatform p(pin_threaded(paper_platform("single_rail")));
-    const auto payload = random_bytes(256, i);
-    std::vector<std::byte> sink(256);
-    auto recv = p.b().irecv(p.gate_ba(), 0, sink);
-    auto send = p.a().isend(p.gate_ab(), 0, payload);
-    p.b().wait(recv);
-    p.a().wait(send);
-    EXPECT_EQ(sink, payload);
+    exchange_one(p);
   }
 }
 
