@@ -71,6 +71,37 @@ Gate::Gate(GateId id, std::vector<drv::Driver*> drivers,
   set_ratios(std::move(default_weights));
 }
 
+std::vector<strat::Contribution> Gate::take_contribs() {
+  if (spare_contribs_.empty()) return {};
+  std::vector<strat::Contribution> out = std::move(spare_contribs_.back());
+  spare_contribs_.pop_back();
+  return out;
+}
+
+void Gate::recycle_contribs(std::vector<strat::Contribution> contribs) {
+  if (contribs.capacity() == 0) return;
+  contribs.clear();
+  spare_contribs_.push_back(std::move(contribs));
+}
+
+Gate::Incoming& Gate::incoming_at(MsgKey key) {
+  auto it = incoming_.lower_bound(key);
+  if (it != incoming_.end() && it->first == key) return it->second;
+  if (spare_incoming_.empty()) {
+    return incoming_.emplace_hint(it, key, Incoming{})->second;
+  }
+  IncomingTable::node_type node = std::move(spare_incoming_.back());
+  spare_incoming_.pop_back();
+  node.key() = key;
+  return incoming_.insert(it, std::move(node))->second;
+}
+
+void Gate::erase_incoming(IncomingTable::iterator it) {
+  IncomingTable::node_type node = incoming_.extract(it);
+  node.mapped() = Incoming{};
+  spare_incoming_.push_back(std::move(node));
+}
+
 Rail& Gate::rail(RailIndex i) {
   NMAD_ASSERT(i < rails_.size(), "rail index out of range");
   return rails_[i];

@@ -22,6 +22,7 @@
 #include "proto/reassembly.hpp"
 #include "strat/rate_estimator.hpp"
 #include "strat/strategy.hpp"
+#include "util/ring_queue.hpp"
 
 namespace nmad::obs {
 class MetricsRegistry;
@@ -143,6 +144,11 @@ class Gate {
   /// Pool of aggregation staging buffers (the paper's contiguous copy
   /// area); sized to the strategy's aggregation limit.
   [[nodiscard]] proto::BufferPool& staging_pool() noexcept { return staging_pool_; }
+  /// An empty contribution list for a PacketPlan: one a credited packet
+  /// handed back (capacity kept) when there is one.
+  [[nodiscard]] std::vector<strat::Contribution> take_contribs();
+  /// Return a credited packet's contribution list for reuse.
+  void recycle_contribs(std::vector<strat::Contribution> contribs);
 
   // --- split ratios ---------------------------------------------------------
   /// Install per-rail bulk-bandwidth weights (from boot-time sampling).
@@ -191,12 +197,22 @@ class Gate {
     bool rdv_seen = false;
     bool rdv_acked = false;
     bool data_complete = false;
+    /// `assembly` has been pointed at its destination.
+    bool assembling = false;
     RecvRequest* recv = nullptr;
     /// Unexpected-message storage (assembly writes here until a receive is
     /// posted, then rebinds into the user buffer).
     std::vector<std::byte> temp;
-    std::unique_ptr<proto::MessageAssembly> assembly;
+    proto::MessageAssembly assembly{std::span<std::byte>{}};
   };
+  using IncomingTable = std::map<MsgKey, Incoming>;
+
+  /// The incoming entry for `key`, created if absent. New entries reuse a
+  /// node recycled by erase_incoming, so steady-state matching allocates
+  /// nothing.
+  Incoming& incoming_at(MsgKey key);
+  /// Drop a finished entry, keeping its node for the next incoming_at.
+  void erase_incoming(IncomingTable::iterator it);
 
   GateId id_;
   std::vector<Rail> rails_;
@@ -204,6 +220,7 @@ class Gate {
   strat::StrategyConfig config_;
   proto::BufferPool header_pool_;
   proto::BufferPool staging_pool_;
+  std::vector<std::vector<strat::Contribution>> spare_contribs_;
   std::uint32_t small_threshold_ = 0;
   RailIndex fastest_rail_ = 0;
   std::vector<double> ratios_;
@@ -219,9 +236,10 @@ class Gate {
   std::map<Tag, MsgSeq> next_send_seq_;
   // Receive side.
   std::map<Tag, MsgSeq> next_recv_seq_;
-  std::map<MsgKey, Incoming> incoming_;
+  IncomingTable incoming_;
+  std::vector<IncomingTable::node_type> spare_incoming_;
   // Rendezvous control packets awaiting an idle eager track.
-  std::deque<drv::SendDesc> control_;
+  util::RingQueue<drv::SendDesc> control_;
   // Un-acked frames surrendered by dead rails, awaiting repost on a
   // survivor (drained by the pump ahead of new strategy work).
   std::deque<RailGuard::PendingFrame> resend_;

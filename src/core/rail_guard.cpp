@@ -91,22 +91,15 @@ void RailGuard::post(drv::SendDesc desc, std::vector<strat::Contribution> contri
   seal(desc, 0, seq, epoch_);
 
   if (!cfg_.ack_enabled) {
-    // Legacy semantics: contributions credit on local send completion and
-    // nothing is retained — the wire is trusted to be reliable. The local
-    // DMA completion doubles as a delivered-bytes sample for the rate
-    // estimator (PIO completions measure the host copy and are skipped).
-    const sim::TimeNs t0 = hooks_.now();
-    const std::uint64_t wire = desc.wire_size();
+    // The track holds one frame at a time, so its credit waits in a
+    // per-track slot and the completion closure stays small enough for
+    // std::function's inline storage.
     const drv::Track tr = desc.track;
-    driver_->post_send(
-        std::move(desc), [this, t0, wire, tr, contribs = std::move(contribs)] {
-          if (estimator_ != nullptr && tr == drv::Track::kLarge) {
-            const sim::TimeNs t1 = hooks_.now();
-            estimator_->note_transfer(index_, wire, t1 - t0, t1);
-          }
-          hooks_.credit(contribs);
-          hooks_.kick();
-        });
+    LocalPost& lp = local_[track_idx];
+    lp.posted_at = hooks_.now();
+    lp.wire = desc.wire_size();
+    lp.contribs = std::move(contribs);
+    driver_->post_send(std::move(desc), [this, tr] { on_local_sent(tr); });
     return;
   }
 
@@ -134,15 +127,29 @@ void RailGuard::post(drv::SendDesc desc, std::vector<strat::Contribution> contri
                                   now - it->posted_at, now);
       }
       if (it->acked) {
-        const auto done = std::move(it->contribs);
+        auto done = std::move(it->contribs);
         tx_.erase(it);
-        hooks_.credit(done);
+        hooks_.credit(std::move(done));
       }
       break;
     }
     hooks_.kick();
   });
   arm_retransmit_timer();
+}
+
+void RailGuard::on_local_sent(drv::Track track) {
+  // Legacy semantics: contributions credit on local send completion and
+  // nothing is retained — the wire is trusted to be reliable. The local DMA
+  // completion doubles as a delivered-bytes sample for the rate estimator
+  // (PIO completions measure the host copy and are skipped).
+  LocalPost& lp = local_[static_cast<std::size_t>(track)];
+  if (estimator_ != nullptr && track == drv::Track::kLarge) {
+    const sim::TimeNs now = hooks_.now();
+    estimator_->note_transfer(index_, lp.wire, now - lp.posted_at, now);
+  }
+  hooks_.credit(std::move(lp.contribs));
+  hooks_.kick();
 }
 
 sim::TimeNs RailGuard::next_rto(std::uint32_t retries) {
@@ -219,9 +226,9 @@ void RailGuard::handle_deadlines() {
           it->in_flight = false;
           it->locally_done = true;
           if (it->acked) {
-            const auto contribs = std::move(it->contribs);
+            auto contribs = std::move(it->contribs);
             tx_.erase(it);
-            hooks_.credit(contribs);
+            hooks_.credit(std::move(contribs));
           }
           break;
         }
@@ -358,9 +365,9 @@ bool RailGuard::apply_ack(drv::Track track, std::uint32_t upto) {
         estimator_->note_rtt(index_, now - it->posted_at, now);
       }
       if (it->locally_done) {
-        const auto contribs = std::move(it->contribs);
+        auto contribs = std::move(it->contribs);
         it = tx_.erase(it);
-        hooks_.credit(contribs);
+        hooks_.credit(std::move(contribs));
         continue;
       }
     }
@@ -461,7 +468,7 @@ std::vector<RailGuard::PendingFrame> RailGuard::surrender_tx() {
     if (e.acked) {
       // The peer has the data; only local completion was pending (and the
       // driver will never report it now). Credit as sent.
-      hooks_.credit(e.contribs);
+      hooks_.credit(std::move(e.contribs));
       continue;
     }
     metrics.requeued_packets.inc();

@@ -101,7 +101,8 @@ class RailGuard {
     /// May be null when acks are disabled — no timers are armed then.
     std::function<void(sim::TimeNs, std::function<void()>)> timer;
     /// Credit send contributions (request completion accounting).
-    std::function<void(const std::vector<strat::Contribution>&)> credit;
+    /// The list is handed over so the scheduler can recycle it.
+    std::function<void(std::vector<strat::Contribution>)> credit;
     /// Deliver a validated packet (envelope already stripped).
     std::function<void(drv::Track, std::span<const std::byte>)> deliver;
     /// Account a guard-initiated post (retransmit, standalone ack) in the
@@ -207,6 +208,13 @@ class RailGuard {
     bool in_flight = false;  ///< an alias of this frame occupies the track
   };
 
+  /// The frame on a track while acks are off: credited on local completion.
+  struct LocalPost {
+    sim::TimeNs posted_at = 0;
+    std::uint64_t wire = 0;  ///< packet bytes (rate-estimator sample)
+    std::vector<strat::Contribution> contribs;
+  };
+
   /// Per-track receive state (dedup + cumulative ack bookkeeping).
   struct RxTrack {
     std::uint32_t contiguous = 0;  ///< all seqs <= this received
@@ -217,6 +225,8 @@ class RailGuard {
 
   void seal(drv::SendDesc& desc, std::uint8_t flags, std::uint32_t seq,
             std::uint32_t epoch);
+  /// Acks-off local completion of the frame in local_[track].
+  void on_local_sent(drv::Track track);
   [[nodiscard]] drv::SendDesc make_alias(const TxEntry& entry) const;
   void process_acks(const proto::FrameEnvelope& env);
   bool apply_ack(drv::Track track, std::uint32_t upto);
@@ -267,6 +277,7 @@ class RailGuard {
 
   std::uint32_t next_seq_[drv::kTrackCount] = {0, 0};
   std::deque<TxEntry> tx_;  ///< retained frames, oldest first per push order
+  LocalPost local_[drv::kTrackCount];  ///< acks off: the frame on each track
   RxTrack rx_[drv::kTrackCount];
 
   bool rto_timer_armed_ = false;

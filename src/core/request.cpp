@@ -10,6 +10,27 @@ namespace nmad::core {
 // bytes, received_len_, completion_time_) to application threads that
 // observe done() with an acquire load.
 
+SendRequest::SendRequest(Tag tag,
+                         std::span<const std::span<const std::byte>> segments)
+    : tag_(tag) {
+  std::uint64_t offset = 0;
+  std::size_t nonempty = 0;
+  for (const auto& s : segments) {
+    if (s.empty()) continue;
+    const ConstSegment seg{s, static_cast<std::uint32_t>(offset)};
+    if (nonempty == 0) {
+      first_ = seg;
+    } else {
+      if (nonempty == 1) more_.push_back(first_);
+      more_.push_back(seg);
+    }
+    nonempty += 1;
+    offset += s.size();
+  }
+  NMAD_ASSERT(offset <= 0xffffffffULL, "message exceeds 4 GiB");
+  total_len_ = static_cast<std::uint32_t>(offset);
+}
+
 void SendRequest::credit_sent(std::uint32_t bytes, sim::TimeNs now) {
   const RequestState st = state_.load(std::memory_order_relaxed);
   if (st == RequestState::kFailed) return;  // stale credit after failover

@@ -35,9 +35,10 @@ enum class RequestState : std::uint8_t {
 
 class SendRequest {
  public:
-  SendRequest(Tag tag, std::vector<ConstSegment> segments,
-              std::uint32_t total_len)
-      : tag_(tag), segments_(std::move(segments)), total_len_(total_len) {}
+  /// A message made of `segments`, in order (empty ones carry no bytes and
+  /// are skipped). A one-segment message is held inline; only a
+  /// multi-segment one allocates a segment list.
+  SendRequest(Tag tag, std::span<const std::span<const std::byte>> segments);
 
   [[nodiscard]] Tag tag() const noexcept { return tag_; }
   /// Send ordinal for this (gate, tag) stream. Assigned when the scheduler
@@ -47,8 +48,9 @@ class SendRequest {
     return seq_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] MsgKey key() const noexcept { return MsgKey{tag_, seq()}; }
-  [[nodiscard]] const std::vector<ConstSegment>& segments() const noexcept {
-    return segments_;
+  [[nodiscard]] std::span<const ConstSegment> segments() const noexcept {
+    if (!more_.empty()) return more_;
+    return {&first_, total_len_ > 0 ? 1u : 0u};
   }
   [[nodiscard]] std::uint32_t total_len() const noexcept { return total_len_; }
 
@@ -91,8 +93,10 @@ class SendRequest {
  private:
   Tag tag_;
   std::atomic<MsgSeq> seq_{0};
-  std::vector<ConstSegment> segments_;
-  std::uint32_t total_len_;
+  /// The only non-empty segment, or empty when `more_` holds them all.
+  ConstSegment first_;
+  std::vector<ConstSegment> more_;
+  std::uint32_t total_len_ = 0;
   std::atomic<std::uint32_t> bytes_sent_{0};
   std::atomic<RequestState> state_{RequestState::kPending};
   std::atomic<sim::TimeNs> completion_time_{-1};

@@ -77,8 +77,8 @@ GateId Scheduler::add_gate(std::vector<drv::Driver*> rails,
         });
       };
     }
-    hooks.credit = [this, id](const std::vector<strat::Contribution>& contribs) {
-      credit_contribs(gate(id), contribs);
+    hooks.credit = [this, id](std::vector<strat::Contribution> contribs) {
+      credit_contribs(gate(id), std::move(contribs));
     };
     hooks.deliver = [this, id, idx](drv::Track track,
                                     std::span<const std::byte> packet) {
@@ -169,24 +169,14 @@ void Scheduler::sweep_completed() {
 // --------------------------------------------------------------------------
 
 SendHandle Scheduler::make_send(GateId gate_id, Tag tag,
-                                std::vector<std::span<const std::byte>> segments) {
+                                std::span<const std::span<const std::byte>> segments) {
   NMAD_ASSERT(gate_id < gates_.size(), "unknown gate id");
-  std::vector<ConstSegment> views;
-  std::uint64_t offset = 0;
-  for (const auto& s : segments) {
-    if (s.empty()) continue;  // empty segments carry no bytes
-    views.push_back(ConstSegment{s, static_cast<std::uint32_t>(offset)});
-    offset += s.size();
-  }
-  NMAD_ASSERT(offset <= 0xffffffffULL, "message exceeds 4 GiB");
-  const auto total = static_cast<std::uint32_t>(offset);
-
-  auto req = std::make_shared<SendRequest>(tag, std::move(views), total);
+  auto req = std::make_shared<SendRequest>(tag, segments);
   req->note_submit_time(now_());
   req->note_gate(gate_id);
   metrics_.sends_posted.inc();
-  metrics_.send_bytes_submitted.inc(total);
-  metrics_.send_size.record(total);
+  metrics_.send_bytes_submitted.inc(req->total_len());
+  metrics_.send_size.record(req->total_len());
   return req;
 }
 
@@ -234,8 +224,8 @@ void Scheduler::submit_send(SendHandle req) {
 }
 
 SendHandle Scheduler::isend(GateId gate_id, Tag tag,
-                            std::vector<std::span<const std::byte>> segments) {
-  SendHandle req = make_send(gate_id, tag, std::move(segments));
+                            std::span<const std::span<const std::byte>> segments) {
+  SendHandle req = make_send(gate_id, tag, segments);
   submit_send(req);
   return req;
 }
@@ -271,7 +261,7 @@ void Scheduler::submit_recv(RecvHandle req) {
     bind_recv(g, it->second, req.get());
     try_finalize(g, key);
   } else {
-    g.incoming_[key].recv = req.get();
+    g.incoming_at(key).recv = req.get();
   }
   schedule_pump(g);
 }
@@ -449,8 +439,8 @@ void Scheduler::note_rail_post(Rail& rail, const drv::SendDesc& desc) {
   }
 }
 
-void Scheduler::credit_contribs(Gate& /*gate*/,
-                                const std::vector<strat::Contribution>& contribs) {
+void Scheduler::credit_contribs(Gate& gate,
+                                std::vector<strat::Contribution> contribs) {
   const sim::TimeNs t = now_();
   for (const strat::Contribution& c : contribs) {
     const bool was_completed = c.req->completed();
@@ -461,6 +451,7 @@ void Scheduler::credit_contribs(Gate& /*gate*/,
       notify_settled();
     }
   }
+  gate.recycle_contribs(std::move(contribs));
 }
 
 void Scheduler::on_rail_dead(Gate& gate, RailIndex idx) {
@@ -527,8 +518,8 @@ void Scheduler::fail_gate(Gate& gate) {
 
 void Scheduler::on_packet(Gate& gate, Rail& rail, drv::Track /*track*/,
                           std::span<const std::byte> wire) {
-  auto decoded = proto::decode_packet(wire);
-  if (!decoded) {
+  const auto packet = proto::read_packet(wire);
+  if (!packet) {
     // A frame that passed the envelope checksum but fails packet decode:
     // treat like corruption — drop it and let retransmission (if enabled)
     // heal the loss. Panicking would turn one bad frame into an outage.
@@ -537,10 +528,10 @@ void Scheduler::on_packet(Gate& gate, Rail& rail, drv::Track /*track*/,
                   gate.id(), wire.size());
     return;
   }
-  for (const auto& seg : decoded->segments) {
-    switch (decoded->kind) {
+  for (const proto::WireSegment& seg : *packet) {
+    switch (packet->kind()) {
       case proto::PacketKind::kData:
-        handle_data_segment(gate, seg.header, seg.payload);
+        handle_data_segment(gate, rail, seg.header, seg.payload);
         break;
       case proto::PacketKind::kRdvReq:
         handle_rdv_req(gate, seg.header);
@@ -550,30 +541,38 @@ void Scheduler::on_packet(Gate& gate, Rail& rail, drv::Track /*track*/,
         break;
     }
   }
-  (void)rail;
   pump(gate);
 }
 
-void Scheduler::handle_data_segment(Gate& gate, const proto::SegHeader& h,
+void Scheduler::handle_data_segment(Gate& gate, Rail& rail,
+                                    const proto::SegHeader& h,
                                     std::span<const std::byte> payload) {
   const MsgKey key{h.tag, h.msg_seq};
-  Gate::Incoming& inc = gate.incoming_[key];
+  Gate::Incoming& inc = gate.incoming_at(key);
   if (!inc.total_known) {
     inc.total_len = h.total_len;
     inc.total_known = true;
-  } else {
-    NMAD_ASSERT(inc.total_len == h.total_len,
-                "inconsistent total length across chunks");
+  } else if (inc.total_len != h.total_len) {
+    // The peer contradicts the length its earlier chunks (or rendezvous
+    // request) announced. The first announcement stands: drop this
+    // segment, count it as a protocol violation on the rail it came from,
+    // and leave the message pending.
+    rail.guard.metrics.malformed_drops.inc();
+    NMAD_LOG_WARN("core",
+                  "gate%u: dropping chunk of tag %u seq %u: total length %u, "
+                  "earlier chunks said %u",
+                  gate.id(), h.tag, h.msg_seq, h.total_len, inc.total_len);
+    return;
   }
   ensure_assembly(inc);
-  if (auto st = inc.assembly->add_chunk(h.offset, payload); !st) {
+  if (auto st = inc.assembly.add_chunk(h.offset, payload); !st) {
     // Out-of-range or partially-overlapping chunk: drop it rather than
     // crash. Exact duplicates (failover reposts whose original landed)
     // return success and are simply not re-applied.
     NMAD_LOG_WARN("core", "dropping bad chunk: %s", st.error().message.c_str());
     return;
   }
-  if (inc.assembly->complete()) {
+  if (inc.assembly.complete()) {
     inc.data_complete = true;
     try_finalize(gate, key);
   }
@@ -581,7 +580,7 @@ void Scheduler::handle_data_segment(Gate& gate, const proto::SegHeader& h,
 
 void Scheduler::handle_rdv_req(Gate& gate, const proto::SegHeader& h) {
   const MsgKey key{h.tag, h.msg_seq};
-  Gate::Incoming& inc = gate.incoming_[key];
+  Gate::Incoming& inc = gate.incoming_at(key);
   inc.rdv_seen = true;
   if (!inc.total_known) {
     inc.total_len = h.total_len;
@@ -604,9 +603,9 @@ void Scheduler::bind_recv(Gate& gate, Gate::Incoming& inc, RecvRequest* recv) {
   if (inc.total_known) {
     NMAD_ASSERT(recv->buffer().size() >= inc.total_len,
                 "receive buffer smaller than incoming message");
-    if (inc.assembly != nullptr) {
+    if (inc.assembling) {
       // Migrate from unexpected-message storage into the user buffer.
-      inc.assembly->rebind(recv->buffer().first(inc.total_len));
+      inc.assembly.rebind(recv->buffer().first(inc.total_len));
       inc.temp.clear();
       inc.temp.shrink_to_fit();
     } else {
@@ -620,7 +619,7 @@ void Scheduler::bind_recv(Gate& gate, Gate::Incoming& inc, RecvRequest* recv) {
 }
 
 void Scheduler::ensure_assembly(Gate::Incoming& inc) {
-  if (inc.assembly != nullptr) return;
+  if (inc.assembling) return;
   NMAD_ASSERT(inc.total_known, "assembly requires known message length");
   std::span<std::byte> dest;
   if (inc.recv != nullptr) {
@@ -632,7 +631,8 @@ void Scheduler::ensure_assembly(Gate::Incoming& inc) {
     dest = inc.temp;
     metrics_.unexpected_msgs.inc();
   }
-  inc.assembly = std::make_unique<proto::MessageAssembly>(dest);
+  inc.assembly.reset(dest);
+  inc.assembling = true;
 }
 
 void Scheduler::try_finalize(Gate& gate, MsgKey key) {
@@ -647,7 +647,7 @@ void Scheduler::try_finalize(Gate& gate, MsgKey key) {
   metrics_.recv_size.record(inc.total_len);
   metrics_.recv_latency_ns.record(elapsed_ns(inc.recv->submit_time(), t));
   notify_settled();
-  gate.incoming_.erase(it);
+  gate.erase_incoming(it);
 }
 
 void Scheduler::enqueue_ack(Gate& gate, MsgKey key) {

@@ -100,7 +100,7 @@ class Scheduler {
   /// of user-memory views). The user memory must stay valid until the
   /// returned request completes. Equivalent to make_send + submit_send.
   SendHandle isend(GateId gate, Tag tag,
-                   std::vector<std::span<const std::byte>> segments);
+                   std::span<const std::span<const std::byte>> segments);
 
   /// Post a receive for the next message with `tag` on `gate`. `buffer`
   /// must be at least as large as the matching message. Equivalent to
@@ -117,7 +117,7 @@ class Scheduler {
   // thread — the SPSC submission ring preserves exactly that, which keeps
   // matching order equal to application post order.
   [[nodiscard]] SendHandle make_send(
-      GateId gate, Tag tag, std::vector<std::span<const std::byte>> segments);
+      GateId gate, Tag tag, std::span<const std::span<const std::byte>> segments);
   void submit_send(SendHandle req);
   [[nodiscard]] RecvHandle make_recv(GateId gate, Tag tag,
                                      std::span<std::byte> buffer);
@@ -162,7 +162,7 @@ class Scheduler {
   void note_rail_post(Rail& rail, const drv::SendDesc& desc);
   /// Apply send-completion credit (local completion without acks; peer
   /// acknowledgement with them) and the completion metrics.
-  void credit_contribs(Gate& gate, const std::vector<strat::Contribution>& contribs);
+  void credit_contribs(Gate& gate, std::vector<strat::Contribution> contribs);
   /// Rail `idx` of `gate` was declared dead: requeue its un-acked frames,
   /// let the strategy retarget, and fail the gate if no rail survives.
   void on_rail_dead(Gate& gate, RailIndex idx);
@@ -176,7 +176,7 @@ class Scheduler {
   /// byte kept past this call is copied by reassembly into its message.
   void on_packet(Gate& gate, Rail& rail, drv::Track track,
                  std::span<const std::byte> wire);
-  void handle_data_segment(Gate& gate, const proto::SegHeader& h,
+  void handle_data_segment(Gate& gate, Rail& rail, const proto::SegHeader& h,
                            std::span<const std::byte> payload);
   void handle_rdv_req(Gate& gate, const proto::SegHeader& h);
   void handle_rdv_ack(Gate& gate, const proto::SegHeader& h);

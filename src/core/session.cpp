@@ -88,17 +88,22 @@ GateId Session::connect(std::vector<drv::Driver*> rails,
 }
 
 SendHandle Session::isend(GateId gate, Tag tag, std::span<const std::byte> data) {
-  return isend_segments(gate, tag, {data});
+  return send(gate, tag, std::span(&data, 1));
 }
 
 SendHandle Session::isend_segments(GateId gate, Tag tag,
                                    std::vector<std::span<const std::byte>> segments) {
+  return send(gate, tag, segments);
+}
+
+SendHandle Session::send(GateId gate, Tag tag,
+                         std::span<const std::span<const std::byte>> segments) {
   if (progress_engine_ != nullptr) {
-    SendHandle h = scheduler_.make_send(gate, tag, std::move(segments));
+    SendHandle h = scheduler_.make_send(gate, tag, segments);
     progress_engine_->submit(h);
     return h;
   }
-  return scheduler_.isend(gate, tag, std::move(segments));
+  return scheduler_.isend(gate, tag, segments);
 }
 
 RecvHandle Session::irecv(GateId gate, Tag tag, std::span<std::byte> buffer) {

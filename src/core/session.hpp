@@ -186,6 +186,8 @@ class Session {
     std::shared_ptr<std::vector<std::byte>> staging;
     std::vector<std::span<std::byte>> segments;
   };
+  SendHandle send(GateId gate, Tag tag,
+                  std::span<const std::span<const std::byte>> segments);
   RecvHandle post_unpack(GateId gate, Tag tag, std::vector<std::span<std::byte>> segments);
   void scatter_ready_unpacks();
 

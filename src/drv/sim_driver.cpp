@@ -39,19 +39,57 @@ void SimDriver::register_metrics(obs::MetricsRegistry& registry,
 void SimDriver::post_send(SendDesc desc, Callback on_sent) {
   NMAD_ASSERT(send_idle(desc.track), "post_send on busy track");
   // wire_size() == 0 is legal: an ack-only frame is just the envelope.
-  busy_[static_cast<std::size_t>(desc.track)] = true;
+  const auto t = static_cast<std::size_t>(desc.track);
+  busy_[t] = true;
+  on_sent_[t] = std::move(on_sent);
   if (desc.track == Track::kSmall) {
     // max_small_packet caps the *payload*; allow protocol headers on top
     // (generously: aggregated packets carry one SegHeader per segment).
     NMAD_ASSERT(desc.wire_size() <= caps_.max_small_packet + 4096,
                 "eager packet exceeds small-track limit");
-    send_eager(std::move(desc), std::move(on_sent));
+    send_eager(std::move(desc));
   } else {
-    send_dma(std::move(desc), std::move(on_sent));
+    send_dma(std::move(desc));
   }
 }
 
-void SimDriver::send_eager(SendDesc desc, Callback on_sent) {
+std::uint32_t SimDriver::take_wire(SendDesc& desc) {
+  std::uint32_t w;
+  if (free_wires_.empty()) {
+    w = static_cast<std::uint32_t>(wires_.size());
+    wires_.emplace_back();
+  } else {
+    w = free_wires_.back();
+    free_wires_.pop_back();
+  }
+  std::vector<std::byte>& buf = wires_[w];
+  buf.clear();
+  if (buf.capacity() < desc.frame_size()) {
+    // Free the short buffer before taking the larger one, so the allocator
+    // can hand back the same memory instead of growing the heap by both.
+    buf = std::vector<std::byte>();
+    buf.reserve(desc.frame_size());
+  }
+  buf.insert(buf.end(), desc.envelope.begin(), desc.envelope.end());
+  desc.view.gather_into(buf);
+  desc.view.reset();
+  return w;
+}
+
+void SimDriver::sent(Track track) {
+  const auto t = static_cast<std::size_t>(track);
+  Callback on_sent = std::move(on_sent_[t]);
+  on_sent_[t] = nullptr;
+  busy_[t] = false;
+  if (world_.trace().enabled()) {
+    world_.trace().record(world_.engine().now(),
+                          track == Track::kSmall ? "pio.done" : "dma.done",
+                          profile_.name);
+  }
+  if (on_sent) on_sent();
+}
+
+void SimDriver::send_eager(SendDesc desc) {
   auto& engine = world_.engine();
   const std::size_t wire_bytes = desc.wire_size();
   stats_.eager_packets += 1;
@@ -62,8 +100,10 @@ void SimDriver::send_eager(SendDesc desc, Callback on_sent) {
       sim::us_to_ns(profile_.send_overhead_us + desc.extra_cpu_us) +
       sim::transfer_ns(wire_bytes, profile_.pio_bandwidth_mbps);
 
-  world_.trace().record(engine.now(), "pio.start",
-                        util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+  if (world_.trace().enabled()) {
+    world_.trace().record(engine.now(), "pio.start",
+                          util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+  }
 
   // Gather the scatter-gather view into the transit buffer now, while the
   // request's segments are guaranteed alive (completion has not fired).
@@ -73,31 +113,22 @@ void SimDriver::send_eager(SendDesc desc, Callback on_sent) {
   // block recycle as soon as this frame leaves post_send. The reliability
   // envelope rides in front of the packet; like real NIC hardware framing
   // it is excluded from the calibrated PIO timing and byte stats above.
-  auto wire = std::make_shared<std::vector<std::byte>>();
-  wire->reserve(desc.frame_size());
-  wire->insert(wire->end(), desc.envelope.begin(), desc.envelope.end());
-  desc.view.gather_into(*wire);
-  desc.view.reset();
+  const std::uint32_t w = take_wire(desc);
 
-  const sim::TimeNs cpu_done = world_.cpu(node_).acquire(
-      cpu_time, [this, on_sent = std::move(on_sent)]() mutable {
-        // The NIC accepted the packet: the track can take the next one.
-        busy_[static_cast<std::size_t>(Track::kSmall)] = false;
-        world_.trace().record(world_.engine().now(), "pio.done", profile_.name);
-        if (on_sent) on_sent();
-      });
+  // The NIC accepted the packet when the CPU is done: the track can take
+  // the next one.
+  const sim::TimeNs cpu_done =
+      world_.cpu(node_).acquire(cpu_time, [this] { sent(Track::kSmall); });
 
   // Wire transit: constant hardware latency after injection. Delivery on
   // the eager track is FIFO per link direction.
   sim::TimeNs delivery = cpu_done + sim::us_to_ns(profile_.wire_latency_us);
   delivery = std::max(delivery, last_eager_delivery_);
   last_eager_delivery_ = delivery;
-  engine.schedule_at(delivery, [this, wire]() mutable {
-    peer_->arrive(Track::kSmall, std::move(*wire));
-  });
+  engine.schedule_at(delivery, [this, w] { peer_->arrive(Track::kSmall, w); });
 }
 
-void SimDriver::send_dma(SendDesc desc, Callback on_sent) {
+void SimDriver::send_dma(SendDesc desc) {
   auto& engine = world_.engine();
   const std::size_t wire_bytes = desc.wire_size();
   stats_.dma_packets += 1;
@@ -113,43 +144,34 @@ void SimDriver::send_dma(SendDesc desc, Callback on_sent) {
   // not a host-side copy — see send_eager). The view's pooled blocks are
   // recycled immediately. The envelope is NIC framing: carried in front of
   // the packet but excluded from the modeled flow size and byte stats.
-  auto wire = std::make_shared<std::vector<std::byte>>();
-  wire->reserve(desc.frame_size());
-  wire->insert(wire->end(), desc.envelope.begin(), desc.envelope.end());
-  desc.view.gather_into(*wire);
-  desc.view.reset();
+  const std::uint32_t w = take_wire(desc);
 
-  world_.trace().record(engine.now(), "dma.program",
-                        util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+  if (world_.trace().enabled()) {
+    world_.trace().record(engine.now(), "dma.program",
+                          util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+  }
 
-  world_.cpu(node_).acquire(cpu_time, [this, wire, wire_bytes,
-                                       on_sent = std::move(on_sent)]() mutable {
+  world_.cpu(node_).acquire(cpu_time, [this, w] {
     // DMA engine spin-up, then a fluid flow across link + both buses.
-    world_.engine().schedule(
-        sim::us_to_ns(profile_.dma_start_us),
-        [this, wire, wire_bytes, on_sent = std::move(on_sent)]() mutable {
-          world_.trace().record(world_.engine().now(), "dma.start",
-                                util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
-          const std::vector<sim::ConstraintId> constraints{
-              tx_link_, world_.bus(node_), world_.bus(peer_->node_)};
-          world_.net().start_flow(
-              wire_bytes, constraints,
-              [this, wire, on_sent = std::move(on_sent)]() mutable {
-                busy_[static_cast<std::size_t>(Track::kLarge)] = false;
-                world_.trace().record(world_.engine().now(), "dma.done",
-                                      profile_.name);
-                if (on_sent) on_sent();
-                // Last byte hits the remote NIC one wire latency later.
-                world_.engine().schedule(
-                    sim::us_to_ns(profile_.wire_latency_us), [this, wire]() mutable {
-                      peer_->arrive(Track::kLarge, std::move(*wire));
-                    });
-              });
-        });
+    world_.engine().schedule(sim::us_to_ns(profile_.dma_start_us), [this, w] {
+      const std::size_t bytes = wires_[w].size() - proto::kFrameEnvelopeBytes;
+      if (world_.trace().enabled()) {
+        world_.trace().record(world_.engine().now(), "dma.start",
+                              util::sformat("%s %zuB", profile_.name.c_str(), bytes));
+      }
+      const std::vector<sim::ConstraintId> constraints{
+          tx_link_, world_.bus(node_), world_.bus(peer_->node_)};
+      world_.net().start_flow(bytes, constraints, [this, w] {
+        sent(Track::kLarge);
+        // Last byte hits the remote NIC one wire latency later.
+        world_.engine().schedule(sim::us_to_ns(profile_.wire_latency_us),
+                                 [this, w] { peer_->arrive(Track::kLarge, w); });
+      });
+    });
   });
 }
 
-void SimDriver::arrive(Track track, std::vector<std::byte> wire) {
+void SimDriver::arrive(Track track, std::uint32_t wire) {
   // Receive-side host processing: per-packet overhead plus the progression
   // engine's cost of having polled the node's other rails. Each sibling
   // rail is charged one poll — the counter behind the Fig. 6 gap.
@@ -158,16 +180,19 @@ void SimDriver::arrive(Track track, std::vector<std::byte> wire) {
   }
   const sim::TimeNs penalty = world_.poll_penalty(node_, this);
   const sim::TimeNs recv_cost = sim::us_to_ns(profile_.recv_overhead_us) + penalty;
-  auto buf = std::make_shared<std::vector<std::byte>>(std::move(wire));
-  world_.engine().schedule(recv_cost, [this, track, buf]() mutable {
+  world_.engine().schedule(recv_cost, [this, track, wire] {
     stats_.delivered_packets += 1;
-    world_.trace().record(world_.engine().now(), "deliver",
-                          util::sformat("%s %s %zuB", profile_.name.c_str(),
-                                      track_name(track), buf->size()));
+    // The bytes stay in the sender's buffer list until the upcall returns
+    // (the DeliverFn contract), then the buffer goes back for reuse.
+    const std::vector<std::byte>& buf = peer_->wires_[wire];
+    if (world_.trace().enabled()) {
+      world_.trace().record(world_.engine().now(), "deliver",
+                            util::sformat("%s %s %zuB", profile_.name.c_str(),
+                                          track_name(track), buf.size()));
+    }
     NMAD_ASSERT(deliver_ != nullptr, "packet arrived with no deliver upcall");
-    // Non-owning delivery: `buf` stays alive for the duration of the
-    // upcall (DeliverFn contract).
-    deliver_(track, std::span<const std::byte>(*buf));
+    deliver_(track, std::span<const std::byte>(buf));
+    peer_->free_wires_.push_back(wire);
   });
 }
 

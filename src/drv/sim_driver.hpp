@@ -67,10 +67,17 @@ class SimDriver final : public Driver {
  private:
   friend class SimWorld;
 
-  void send_eager(SendDesc desc, Callback on_sent);
-  void send_dma(SendDesc desc, Callback on_sent);
-  /// Called on the *receiving* endpoint when bytes arrive off the wire.
-  void arrive(Track track, std::vector<std::byte> wire);
+  void send_eager(SendDesc desc);
+  void send_dma(SendDesc desc);
+  /// Gather `desc` (envelope + packet) into a wire buffer taken from this
+  /// endpoint's recycled list; returns its index in wires_.
+  std::uint32_t take_wire(SendDesc& desc);
+  /// The track's frame left the host: free the track, then run the
+  /// scheduler's on_sent.
+  void sent(Track track);
+  /// Called on the *receiving* endpoint when the peer's wire buffer `wire`
+  /// arrives; the buffer goes back to the peer once delivered.
+  void arrive(Track track, std::uint32_t wire);
 
   SimWorld& world_;
   NodeId node_;
@@ -80,6 +87,15 @@ class SimDriver final : public Driver {
   SimDriver* peer_ = nullptr;
   DeliverFn deliver_;
   std::array<bool, kTrackCount> busy_{{false, false}};
+  /// The scheduler's completion callback for the frame on each track (a
+  /// track holds one frame at a time). Kept here so every simulator event
+  /// closure is just [this, index] and fits std::function's inline storage.
+  std::array<Callback, kTrackCount> on_sent_;
+  /// Frames on the simulated wire, from post until the peer's deliver
+  /// upcall returns. Buffers are recycled through free_wires_ with their
+  /// capacity; an outer-vector regrowth moves them without moving bytes.
+  std::vector<std::vector<std::byte>> wires_;
+  std::vector<std::uint32_t> free_wires_;
   /// Enforces FIFO delivery on the eager track even when CPU queueing
   /// reorders nominal completion instants.
   sim::TimeNs last_eager_delivery_ = 0;

@@ -10,6 +10,9 @@ namespace nmad::proto {
 void MessageAssembly::rebind(std::span<std::byte> new_dest) {
   NMAD_ASSERT(new_dest.size() == dest_.size(), "rebind to differently-sized buffer");
   if (new_dest.data() == dest_.data()) return;
+  if (whole()) {
+    std::memcpy(new_dest.data(), dest_.data(), received_);
+  }
   for (const auto& [start, end] : intervals_) {
     std::memcpy(new_dest.data() + start, dest_.data() + start, end - start);
   }
@@ -25,6 +28,13 @@ util::Expected<bool> MessageAssembly::add_chunk(std::uint64_t offset,
         "chunk [%llu, %llu) exceeds message length %zu",
         static_cast<unsigned long long>(offset),
         static_cast<unsigned long long>(end), dest_.size()));
+  }
+  // Every byte already landed: any in-range chunk is a duplicate.
+  if (complete()) return false;
+  if (received_ == 0 && payload.size() == dest_.size()) {
+    std::memcpy(dest_.data(), payload.data(), payload.size());
+    received_ = payload.size();
+    return true;
   }
 
   // Find the first interval whose end is > offset; overlap exists if it

@@ -347,7 +347,36 @@ bool verify_frame_checksum(std::span<const std::byte> frame) noexcept {
   return crc32c_finish(crc) == get_u32(frame, 20);
 }
 
-util::Expected<DecodedPacket> decode_packet(std::span<const std::byte> wire) {
+namespace {
+
+SegHeader read_seg_header(const std::byte* p) noexcept {
+  const std::span<const std::byte> in(p, kSegHeaderBytes);
+  return SegHeader{get_u32(in, 0), get_u32(in, 4), get_u32(in, 8),
+                   get_u32(in, 12), get_u32(in, 16)};
+}
+
+}  // namespace
+
+WireSegment PacketReader::Iterator::operator*() const noexcept {
+  const SegHeader h = read_seg_header(header());
+  return WireSegment{h, std::span<const std::byte>(wire_ + payload_off_, h.len)};
+}
+
+PacketReader::Iterator& PacketReader::Iterator::operator++() noexcept {
+  payload_off_ += read_seg_header(header()).len;
+  index_ += 1;
+  return *this;
+}
+
+PacketReader::Iterator PacketReader::begin() const noexcept {
+  return Iterator(wire_.data(), packet_wire_size(seg_count_, 0), 0);
+}
+
+PacketReader::Iterator PacketReader::end() const noexcept {
+  return Iterator(wire_.data(), 0, seg_count_);
+}
+
+util::Expected<PacketReader> read_packet(std::span<const std::byte> wire) {
   if (wire.size() < kPacketHeaderBytes) {
     return util::make_error(util::sformat("packet too short: %zu bytes", wire.size()));
   }
@@ -373,22 +402,10 @@ util::Expected<DecodedPacket> decode_packet(std::span<const std::byte> wire) {
   if (seg_count == 0) {
     return util::make_error("packet with zero segments");
   }
-
-  DecodedPacket pkt;
-  pkt.kind = static_cast<PacketKind>(kind_raw);
-  pkt.segments.reserve(seg_count);
-
-  std::size_t hdr_off = kPacketHeaderBytes;
-  std::size_t payload_off = kPacketHeaderBytes + seg_count * kSegHeaderBytes;
   std::uint64_t payload_sum = 0;
-  for (std::uint16_t i = 0; i < seg_count; ++i) {
-    SegHeader h;
-    h.tag = get_u32(wire, hdr_off + 0);
-    h.msg_seq = get_u32(wire, hdr_off + 4);
-    h.offset = get_u32(wire, hdr_off + 8);
-    h.len = get_u32(wire, hdr_off + 12);
-    h.total_len = get_u32(wire, hdr_off + 16);
-    hdr_off += kSegHeaderBytes;
+  for (std::size_t i = 0; i < seg_count; ++i) {
+    const SegHeader h =
+        read_seg_header(wire.data() + kPacketHeaderBytes + i * kSegHeaderBytes);
     payload_sum += h.len;
     if (payload_sum > payload_len) {
       return util::make_error("segment lengths exceed packet payload");
@@ -396,14 +413,11 @@ util::Expected<DecodedPacket> decode_packet(std::span<const std::byte> wire) {
     if (h.len > 0 && static_cast<std::uint64_t>(h.offset) + h.len > h.total_len) {
       return util::make_error("segment extent exceeds message length");
     }
-    pkt.segments.push_back(
-        DecodedPacket::Segment{h, wire.subspan(payload_off, h.len)});
-    payload_off += h.len;
   }
   if (payload_sum != payload_len) {
     return util::make_error("segment lengths do not cover packet payload");
   }
-  return pkt;
+  return PacketReader(wire, static_cast<PacketKind>(kind_raw), seg_count);
 }
 
 std::vector<std::byte> encode_data_packet(const SegHeader& header,

@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <cstddef>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -296,20 +297,66 @@ class PacketBuilder {
   std::vector<std::byte> payload_;
 };
 
-/// A decoded view into an encoded packet. Does not own the bytes: the
-/// spans point into the buffer passed to decode_packet, which must outlive
-/// the DecodedPacket.
-struct DecodedPacket {
-  PacketKind kind{};
-  struct Segment {
-    SegHeader header;
-    std::span<const std::byte> payload;
-  };
-  std::vector<Segment> segments;
+/// One segment of a received packet: its header plus a view of its payload
+/// inside the packet bytes.
+struct WireSegment {
+  SegHeader header;
+  std::span<const std::byte> payload;
 };
 
-/// Validate and decode an encoded packet (checks magic, version, lengths).
-util::Expected<DecodedPacket> decode_packet(std::span<const std::byte> wire);
+/// Non-allocating reader over a received packet, the one packet decoder.
+/// read_packet() validates the whole packet up front (header fields, every
+/// segment's length and extent), so walking the segments afterwards cannot
+/// fail. Does not own the bytes: they must outlive the reader and every
+/// WireSegment taken from it.
+class PacketReader {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = WireSegment;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = WireSegment;
+
+    [[nodiscard]] WireSegment operator*() const noexcept;
+    Iterator& operator++() noexcept;
+    friend bool operator==(const Iterator& a, const Iterator& b) noexcept {
+      return a.index_ == b.index_;
+    }
+
+   private:
+    friend class PacketReader;
+    Iterator(const std::byte* wire, std::size_t payload_off, std::size_t index) noexcept
+        : wire_(wire), payload_off_(payload_off), index_(index) {}
+    [[nodiscard]] const std::byte* header() const noexcept {
+      return wire_ + kPacketHeaderBytes + index_ * kSegHeaderBytes;
+    }
+    const std::byte* wire_ = nullptr;
+    std::size_t payload_off_ = 0;
+    std::size_t index_ = 0;
+  };
+
+  [[nodiscard]] PacketKind kind() const noexcept { return kind_; }
+  [[nodiscard]] std::size_t seg_count() const noexcept { return seg_count_; }
+  [[nodiscard]] Iterator begin() const noexcept;
+  [[nodiscard]] Iterator end() const noexcept;
+
+ private:
+  friend util::Expected<PacketReader> read_packet(std::span<const std::byte> wire);
+  PacketReader(std::span<const std::byte> wire, PacketKind kind,
+               std::size_t seg_count) noexcept
+      : wire_(wire), kind_(kind), seg_count_(seg_count) {}
+
+  std::span<const std::byte> wire_;
+  PacketKind kind_;
+  std::size_t seg_count_;
+};
+
+/// Validate an encoded packet (magic, version, kind, size, segment count,
+/// segment lengths against the payload, each extent against its message
+/// length) and return a reader over its segments.
+util::Expected<PacketReader> read_packet(std::span<const std::byte> wire);
 
 /// Convenience: build a single-segment data packet (flat, copies the
 /// payload — legacy/test path; the hot path uses encode_data_packet_view).

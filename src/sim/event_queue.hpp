@@ -1,11 +1,12 @@
 // Priority queue of timestamped events with stable FIFO ordering for ties
-// and O(log n) cancellation support.
+// and O(1) lazy cancellation. Callbacks live in a recycled slot array, so a
+// steady stream of schedule/pop cycles allocates nothing once the array and
+// the heap have grown to the peak number of pending events.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -36,6 +37,9 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
+  /// Callback slots ever allocated: the peak number of simultaneously
+  /// pending events, not the number ever scheduled.
+  [[nodiscard]] std::size_t slot_count() const noexcept { return slots_.size(); }
 
   /// Earliest pending event time; panics when empty.
   [[nodiscard]] TimeNs next_time() const;
@@ -49,22 +53,35 @@ class EventQueue {
   Fired pop();
 
  private:
+  /// A heap entry names its callback by slot and by the slot's generation
+  /// when it was scheduled; a slot bumps its generation whenever it is
+  /// freed (fired or cancelled), so stale entries and stale EventIds are
+  /// recognized without searching.
   struct Entry {
     TimeNs time;
     std::uint64_t seq;
-    std::uint64_t id;
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
+  struct Slot {
+    Callback callback;
+    std::uint32_t gen = 0;
+  };
 
+  [[nodiscard]] bool stale(const Entry& e) const noexcept {
+    return slots_[e.slot].gen != e.gen;
+  }
+  void free_slot(std::uint32_t slot);
   void drop_cancelled_head() const;
 
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
-  std::uint64_t next_id_ = 1;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
 };

@@ -85,6 +85,7 @@ std::optional<PacketPlan> BacklogBase::pack_small_single(core::Gate& gate,
   // place; the user memory rides to the driver untouched.
   const auto len = static_cast<std::uint32_t>(entry.data.size());
   PacketPlan plan;
+  plan.contribs = gate.take_contribs();
   plan.desc = drv::SendDesc{
       drv::Track::kSmall,
       proto::encode_data_packet_view(
@@ -108,7 +109,8 @@ std::optional<PacketPlan> BacklogBase::pack_small_aggregated(core::Gate& gate,
   // the payload still fits.
   std::size_t take = 0;
   std::uint64_t packed = 0;
-  for (const SmallEntry& entry : small_) {
+  for (std::size_t i = 0; i < small_.size(); ++i) {
+    const SmallEntry& entry = small_[i];
     if (take == kMaxAggregatedSegments) break;
     if (take > 0 && packed + entry.data.size() > budget) break;
     packed += entry.data.size();
@@ -125,6 +127,7 @@ std::optional<PacketPlan> BacklogBase::pack_small_aggregated(core::Gate& gate,
                                gate.header_pool().acquire(),
                                gate.staging_pool().acquire());
   PacketPlan plan;
+  plan.contribs = gate.take_contribs();
   for (std::size_t i = 0; i < take; ++i) {
     const SmallEntry& entry = small_.front();
     const auto len = static_cast<std::uint32_t>(entry.data.size());
@@ -156,6 +159,7 @@ std::optional<PacketPlan> BacklogBase::pack_chunk(core::Gate& gate,
   // the rendezvous path, and neither do we.
   const auto len = static_cast<std::uint32_t>(chunk.data.size());
   PacketPlan plan;
+  plan.contribs = gate.take_contribs();
   plan.desc = drv::SendDesc{
       drv::Track::kLarge,
       proto::encode_data_packet_view(

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "strat/strategy.hpp"
+#include "util/ring_queue.hpp"
 
 namespace nmad::strat {
 
@@ -78,7 +79,7 @@ class BacklogBase : public Strategy {
   void update_depth() noexcept;
 
   StrategyConfig cfg_;
-  std::deque<SmallEntry> small_;
+  util::RingQueue<SmallEntry> small_;
   std::map<core::MsgKey, std::vector<LargeEntry>> parked_;
   std::deque<Chunk> chunks_;
   /// Large entries currently parked (avoids walking parked_ per update).

@@ -9,8 +9,9 @@
 //   2. verify_frame_checksum — streaming CRC32C over arbitrary bytes,
 //      deliberately run even when the envelope was rejected (the two checks
 //      are independent defenses);
-//   3. decode_packet over the post-envelope bytes — the packet parser the
-//      guard's deliver upcall feeds.
+//   3. read_packet over the post-envelope bytes, then a walk over every
+//      segment — the packet decoder the guard's deliver upcall feeds. An
+//      accepted packet's segments must tile its payload exactly.
 //
 // It is also a differential oracle for the CRC32C kernels: the dispatched
 // checksum (the hardware kernel on CPUs that have one) must equal the
@@ -50,12 +51,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (env.has_value() && crc_ok &&
       (env->flags & nmad::proto::kFrameAckOnly) == 0) {
     const auto packet = frame.subspan(nmad::proto::kFrameEnvelopeBytes);
-    if (const auto decoded = nmad::proto::decode_packet(packet)) {
-      // Touch every decoded span so ASan sees any overread.
+    if (const auto reader = nmad::proto::read_packet(packet)) {
+      // Touch every walked span so ASan sees any overread.
       std::size_t sum = 0;
-      for (const auto& seg : decoded->segments) {
+      const std::byte* next = packet.data() + nmad::proto::packet_wire_size(
+                                                  reader->seg_count(), 0);
+      for (const nmad::proto::WireSegment seg : *reader) {
+        if (seg.payload.data() != next) __builtin_trap();
+        next += seg.payload.size();
         for (const std::byte b : seg.payload) sum += std::to_integer<unsigned>(b);
       }
+      if (next != packet.data() + packet.size()) __builtin_trap();
       (void)sum;
     }
   }

@@ -8,6 +8,7 @@
 
 #include "core/platform.hpp"
 #include "drv/sim_driver.hpp"
+#include "proto/wire.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -282,6 +283,95 @@ TEST(Gate, RatioNormalizationAndAccessors) {
   auto& gate_q = q.a().scheduler().gate(q.gate_ab());
   EXPECT_GT(gate_q.ratio(0), gate_q.ratio(1));
   EXPECT_NEAR(gate_q.ratio(0) + gate_q.ratio(1), 1.0, 1e-12);
+}
+
+// --- a scheduler stepped by hand ---------------------------------------------
+
+/// Driver stub that keeps the deliver upcall the scheduler installs, so a
+/// test can hand the gate arbitrary frames, and completes sends at once.
+struct InjectDriver final : drv::Driver {
+  drv::Capabilities caps_{.name = "inject", .bandwidth_mbps = 1000.0};
+  DeliverFn deliver;
+  [[nodiscard]] const drv::Capabilities& caps() const noexcept override {
+    return caps_;
+  }
+  [[nodiscard]] bool send_idle(drv::Track) const noexcept override { return true; }
+  void post_send(drv::SendDesc, Callback on_sent) override {
+    if (on_sent) on_sent();
+  }
+  void set_deliver(DeliverFn fn) override { deliver = std::move(fn); }
+};
+
+/// One gate over an InjectDriver, with a manual clock and a deferred-work
+/// queue the test drains itself.
+struct SteppedGate {
+  InjectDriver drv;
+  std::vector<std::function<void()>> deferred;
+  Scheduler sched{[] { return sim::TimeNs{0}; },
+                  [this](std::function<void()> fn) { deferred.push_back(std::move(fn)); }};
+  GateId gate = sched.add_gate({&drv}, strat::make_strategy("single_rail"));
+
+  void drain() {
+    while (!deferred.empty()) {
+      auto fn = std::move(deferred.front());
+      deferred.erase(deferred.begin());
+      fn();
+    }
+  }
+  /// Seal `packet` in an unsequenced envelope, as a peer's guard would,
+  /// and hand it to the gate.
+  void inject(const std::vector<std::byte>& packet) {
+    std::vector<std::byte> frame(proto::kFrameEnvelopeBytes);
+    proto::seal_frame_envelope(frame, proto::FrameEnvelope{}, packet, {});
+    frame.insert(frame.end(), packet.begin(), packet.end());
+    drv.deliver(drv::Track::kSmall, frame);
+    drain();
+  }
+  [[nodiscard]] std::uint64_t malformed() {
+    return sched.gate(gate).rail(0).guard.metrics.malformed_drops.value();
+  }
+};
+
+TEST(Matching, ContradictoryTotalLengthIsDroppedNotFatal) {
+  SteppedGate g;
+  const auto payload = random_bytes(8, 11);
+  const auto chunk = [&](std::uint32_t offset, std::uint32_t total) {
+    return proto::encode_data_packet(
+        proto::SegHeader{9, 0, offset, 4, total},
+        std::span(payload).subspan(offset, 4));
+  };
+
+  std::vector<std::byte> sink(8);
+  RecvHandle recv = g.sched.irecv(g.gate, 9, sink);
+  g.drain();
+  g.inject(chunk(0, 8));
+  EXPECT_FALSE(recv->done());
+
+  // A valid frame whose chunk claims a 16-byte message: the peer contradicts
+  // the 8 bytes its first chunk announced. Dropped and counted; the process
+  // and the message survive.
+  g.inject(chunk(4, 16));
+  EXPECT_FALSE(recv->done());
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(g.malformed(), 1u);
+  }
+
+  // The consistent chunk still completes the message byte-exact, and a later
+  // message on the same stream arrives untouched.
+  g.inject(chunk(4, 8));
+  ASSERT_TRUE(recv->completed());
+  EXPECT_EQ(sink, payload);
+
+  const auto next = random_bytes(5, 12);
+  std::vector<std::byte> sink2(5);
+  RecvHandle recv2 = g.sched.irecv(g.gate, 9, sink2);
+  g.drain();
+  g.inject(proto::encode_data_packet(proto::SegHeader{9, 1, 0, 5, 5}, next));
+  ASSERT_TRUE(recv2->completed());
+  EXPECT_EQ(sink2, next);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(g.malformed(), 1u);
+  }
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ TEST_F(ErrorPaths, CorruptPacketDeliveryPanics) {
   // Deliver through the driver's installed upcall path.
   // SimDriver exposes no public inject; emulate via set_deliver capture —
   // instead we decode-check directly here:
-  EXPECT_FALSE(proto::decode_packet(garbage).has_value());
+  EXPECT_FALSE(proto::read_packet(garbage).has_value());
   (void)sim_rail;
 }
 

@@ -108,6 +108,42 @@ TEST(Reassembly, RebindMigratesReceivedRanges) {
   EXPECT_EQ(user, src);
 }
 
+TEST(Reassembly, WholeMessageChunkAndReuse) {
+  const auto src = pattern(64);
+  std::vector<std::byte> temp(64);
+  MessageAssembly assembly(temp);
+  auto st = assembly.add_chunk(0, src);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_TRUE(*st);
+  EXPECT_TRUE(assembly.complete());
+  EXPECT_EQ(assembly.fragment_count(), 1u);
+  EXPECT_EQ(temp, src);
+  // Once whole, every in-range chunk is a duplicate; out of range is still
+  // an error.
+  st = assembly.add_chunk(0, src);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_FALSE(*st);
+  st = assembly.add_chunk(8, std::span(src).subspan(8, 8));
+  ASSERT_TRUE(st.has_value());
+  EXPECT_FALSE(*st);
+  EXPECT_FALSE(assembly.add_chunk(60, std::span(src).subspan(0, 8)).has_value());
+
+  // Rebinding a whole message carries every byte across.
+  std::vector<std::byte> user(64);
+  assembly.rebind(user);
+  EXPECT_EQ(user, src);
+
+  // Reset reuses the assembly for an unrelated multi-chunk message.
+  std::vector<std::byte> next(32);
+  assembly.reset(next);
+  EXPECT_FALSE(assembly.complete());
+  EXPECT_EQ(assembly.fragment_count(), 0u);
+  EXPECT_TRUE(assembly.add_chunk(16, std::span(src).subspan(16, 16)).has_value());
+  EXPECT_TRUE(assembly.add_chunk(0, std::span(src).subspan(0, 16)).has_value());
+  EXPECT_TRUE(assembly.complete());
+  EXPECT_TRUE(std::equal(next.begin(), next.end(), src.begin()));
+}
+
 TEST(Reassembly, RandomPermutationsReconstructExactly) {
   nmad::util::Xoshiro256 rng(7);
   for (int round = 0; round < 50; ++round) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,17 @@
 namespace {
 
 using namespace nmad::proto;
+
+/// A packet's segments as read_packet walks them, or nullopt on rejection.
+struct Decoded {
+  PacketKind kind;
+  std::vector<WireSegment> segments;
+};
+std::optional<Decoded> decode(std::span<const std::byte> wire) {
+  const auto reader = read_packet(wire);
+  if (!reader) return std::nullopt;
+  return Decoded{reader->kind(), {reader->begin(), reader->end()}};
+}
 
 std::vector<std::byte> bytes_of(std::initializer_list<int> xs) {
   std::vector<std::byte> out;
@@ -26,7 +38,7 @@ TEST(Wire, SingleSegmentRoundTrip) {
   const auto wire = encode_data_packet(h, payload);
   EXPECT_EQ(wire.size(), packet_wire_size(1, 5));
 
-  const auto decoded = decode_packet(wire);
+  const auto decoded = decode(wire);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->kind, PacketKind::kData);
   ASSERT_EQ(decoded->segments.size(), 1u);
@@ -45,7 +57,7 @@ TEST(Wire, AggregatedPacketPreservesAllSegments) {
         payloads.back());
   }
   const auto wire = std::move(builder).finish();
-  const auto decoded = decode_packet(wire);
+  const auto decoded = decode(wire);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->segments.size(), 9u);
   for (std::uint32_t i = 0; i < 9; ++i) {
@@ -59,7 +71,7 @@ TEST(Wire, AggregatedPacketPreservesAllSegments) {
 
 TEST(Wire, ControlPacketsRoundTrip) {
   const auto req = encode_rdv_req(3, 9, 1 << 20);
-  auto decoded = decode_packet(req);
+  auto decoded = decode(req);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->kind, PacketKind::kRdvReq);
   EXPECT_EQ(decoded->segments[0].header.tag, 3u);
@@ -68,7 +80,7 @@ TEST(Wire, ControlPacketsRoundTrip) {
   EXPECT_TRUE(decoded->segments[0].payload.empty());
 
   const auto ack = encode_rdv_ack(3, 9);
-  decoded = decode_packet(ack);
+  decoded = decode(ack);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->kind, PacketKind::kRdvAck);
 }
@@ -78,7 +90,7 @@ TEST(Wire, RejectsTruncatedPacket) {
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     const auto truncated =
         std::span<const std::byte>(wire.data(), cut);
-    EXPECT_FALSE(decode_packet(truncated).has_value()) << "cut at " << cut;
+    EXPECT_FALSE(decode(truncated).has_value()) << "cut at " << cut;
   }
 }
 
@@ -86,21 +98,21 @@ TEST(Wire, RejectsBadMagicVersionKind) {
   auto wire = encode_data_packet(SegHeader{1, 1, 0, 0, 0}, {});
   auto corrupt = wire;
   corrupt[0] = std::byte{0x00};
-  EXPECT_FALSE(decode_packet(corrupt).has_value());
+  EXPECT_FALSE(decode(corrupt).has_value());
 
   corrupt = wire;
   corrupt[2] = std::byte{99};  // version
-  EXPECT_FALSE(decode_packet(corrupt).has_value());
+  EXPECT_FALSE(decode(corrupt).has_value());
 
   corrupt = wire;
   corrupt[3] = std::byte{7};  // kind
-  EXPECT_FALSE(decode_packet(corrupt).has_value());
+  EXPECT_FALSE(decode(corrupt).has_value());
 }
 
 TEST(Wire, RejectsTrailingGarbage) {
   auto wire = encode_data_packet(SegHeader{1, 1, 0, 2, 2}, bytes_of({1, 2}));
   wire.push_back(std::byte{0});
-  EXPECT_FALSE(decode_packet(wire).has_value());
+  EXPECT_FALSE(decode(wire).has_value());
 }
 
 TEST(Wire, RejectsExtentBeyondMessage) {
@@ -108,7 +120,52 @@ TEST(Wire, RejectsExtentBeyondMessage) {
   auto wire = encode_data_packet(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
   // SegHeader at offset 16; its 'offset' field at +8.
   wire[16 + 8] = std::byte{0xff};
-  EXPECT_FALSE(decode_packet(wire).has_value());
+  EXPECT_FALSE(decode(wire).has_value());
+}
+
+TEST(Wire, RejectsZeroSegmentsAndInconsistentSegmentLengths) {
+  // A bare packet header claiming no segments (and no payload).
+  auto empty = encode_rdv_ack(1, 1);
+  empty.resize(kPacketHeaderBytes);
+  empty[4] = std::byte{0};  // seg_count
+  EXPECT_FALSE(decode(empty).has_value());
+
+  // Segment len field (SegHeader at 16, len at +12) against a 4-byte payload.
+  const auto wire =
+      encode_data_packet(SegHeader{1, 1, 0, 4, 100}, bytes_of({1, 2, 3, 4}));
+  ASSERT_TRUE(decode(wire).has_value());
+  auto longer = wire;
+  longer[16 + 12] = std::byte{5};  // exceeds the packet payload
+  EXPECT_FALSE(decode(longer).has_value());
+  auto shorter = wire;
+  shorter[16 + 12] = std::byte{3};  // leaves payload bytes uncovered
+  EXPECT_FALSE(decode(shorter).has_value());
+}
+
+TEST(Wire, ReaderWalksSegmentsInPlace) {
+  PacketBuilder builder(PacketKind::kData);
+  const auto a = bytes_of({1, 2, 3});
+  const auto b = bytes_of({4});
+  builder.add_segment(SegHeader{1, 0, 0, 3, 3}, a);
+  builder.add_segment(SegHeader{2, 5, 7, 1, 8}, b);
+  const auto wire = std::move(builder).finish();
+  const auto reader = read_packet(wire);
+  ASSERT_TRUE(reader.has_value());
+  EXPECT_EQ(reader->seg_count(), 2u);
+  std::size_t n = 0;
+  for (const WireSegment& seg : *reader) {
+    // Payload views point into the packet bytes, not into a copy.
+    EXPECT_GE(seg.payload.data(), wire.data());
+    EXPECT_LE(seg.payload.data() + seg.payload.size(), wire.data() + wire.size());
+    n += 1;
+  }
+  EXPECT_EQ(n, 2u);
+  auto it = reader->begin();
+  EXPECT_EQ((*it).header, (SegHeader{1, 0, 0, 3, 3}));
+  ++it;
+  EXPECT_EQ((*it).header, (SegHeader{2, 5, 7, 1, 8}));
+  EXPECT_EQ((*it).payload[0], std::byte{4});
+  EXPECT_EQ(++it, reader->end());
 }
 
 // --- scatter-gather packet views --------------------------------------------
@@ -150,7 +207,7 @@ TEST(WireGather, MultiSpanPayloadsRoundTrip) {
   EXPECT_EQ(view.copied_bytes(), 0u);
 
   const auto gathered = view.to_bytes();
-  const auto decoded = decode_packet(gathered);
+  const auto decoded = decode(gathered);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->segments.size(), 7u);
   for (std::uint32_t i = 0; i < 7; ++i) {
@@ -172,7 +229,7 @@ TEST(WireGather, EmptyPayloadSegmentsAddHeadersButNoSpans) {
   EXPECT_EQ(view.span_count(), 1u);
   EXPECT_EQ(view.payload_bytes(), 3u);
   const auto gathered = view.to_bytes();
-  const auto decoded = decode_packet(gathered);
+  const auto decoded = decode(gathered);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->segments.size(), 3u);
   EXPECT_TRUE(decoded->segments[0].payload.empty());
@@ -198,7 +255,7 @@ TEST(WireGather, StagedSegmentsMergeIntoOneSpanAndCountCopies) {
   EXPECT_EQ(view.copied_bytes(), 500u);
   EXPECT_EQ(view.span_count(), 1u);
   const auto gathered = view.to_bytes();
-  const auto decoded = decode_packet(gathered);
+  const auto decoded = decode(gathered);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->segments.size(), 5u);
   for (std::uint32_t i = 0; i < 5; ++i) {
@@ -225,7 +282,7 @@ TEST(WireGather, MaxSegCountSpillsPastInlineSpansAndRoundTrips) {
   EXPECT_GT(view.span_count(), PacketView::kInlineSpans);
 
   const auto gathered = view.to_bytes();
-  const auto decoded = decode_packet(gathered);
+  const auto decoded = decode(gathered);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->segments.size(), kSegs);
   for (std::uint32_t i = 0; i < kSegs; ++i) {
@@ -247,7 +304,7 @@ TEST(WireGather, AdjacentReferencedSegmentsMergeSpans) {
   PacketView view = std::move(builder).finish();
   EXPECT_EQ(view.span_count(), 1u);
   EXPECT_EQ(view.payload_bytes(), 200u);
-  ASSERT_TRUE(decode_packet(view.to_bytes()).has_value());
+  ASSERT_TRUE(decode(view.to_bytes()).has_value());
 }
 
 TEST(WireGather, ControlFastPathsMatchLegacyEncodersByteForByte) {
@@ -527,7 +584,7 @@ TEST(Wire, RandomizedRoundTripSweep) {
       payloads.push_back(std::move(payload));
     }
     const auto wire = std::move(builder).finish();
-    const auto decoded = decode_packet(wire);
+    const auto decoded = decode(wire);
     ASSERT_TRUE(decoded.has_value());
     ASSERT_EQ(decoded->segments.size(), nseg);
     for (std::uint64_t i = 0; i < nseg; ++i) {
