@@ -31,24 +31,9 @@ namespace {
 
 using namespace nmad;
 
-void BM_PacketEncodeSingle(benchmark::State& state) {
-  const auto len = static_cast<std::size_t>(state.range(0));
-  std::vector<std::byte> payload(len, std::byte{0x42});
-  for (auto _ : state) {
-    auto wire = proto::encode_data_packet(
-        proto::SegHeader{1, 2, 0, static_cast<std::uint32_t>(len),
-                         static_cast<std::uint32_t>(len)},
-        payload);
-    benchmark::DoNotOptimize(wire.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len));
-}
-BENCHMARK(BM_PacketEncodeSingle)->Arg(64)->Arg(4096)->Arg(65536);
-
 void BM_PacketViewEncodeSingle(benchmark::State& state) {
-  // The zero-copy replacement for BM_PacketEncodeSingle: pooled header
-  // block + in-place payload span. Cost must be flat in payload size.
+  // The zero-copy single-segment encoder: pooled header block + in-place
+  // payload span. Cost must be flat in payload size.
   const auto len = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> payload(len, std::byte{0x42});
   proto::BufferPool pool(proto::packet_wire_size(1, 0));
@@ -89,10 +74,14 @@ BENCHMARK(BM_PacketViewAggregatedStaged)->Arg(2)->Arg(8)->Arg(64);
 void BM_PacketDecode(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> payload(len, std::byte{0x42});
-  const auto wire = proto::encode_data_packet(
-      proto::SegHeader{1, 2, 0, static_cast<std::uint32_t>(len),
-                       static_cast<std::uint32_t>(len)},
-      payload);
+  proto::BufferPool pool;
+  const auto wire =
+      proto::encode_data_packet_view(
+          pool,
+          proto::SegHeader{1, 2, 0, static_cast<std::uint32_t>(len),
+                           static_cast<std::uint32_t>(len)},
+          payload)
+          .to_bytes();
   for (auto _ : state) {
     const auto reader = proto::read_packet(wire);
     std::size_t bytes = 0;
@@ -101,22 +90,6 @@ void BM_PacketDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PacketDecode)->Arg(64)->Arg(65536);
-
-void BM_AggregatedEncode(benchmark::State& state) {
-  const auto nseg = static_cast<std::size_t>(state.range(0));
-  std::vector<std::byte> payload(256, std::byte{0x17});
-  for (auto _ : state) {
-    proto::PacketBuilder builder(proto::PacketKind::kData);
-    for (std::size_t i = 0; i < nseg; ++i) {
-      builder.add_segment(proto::SegHeader{7, static_cast<std::uint32_t>(i), 0,
-                                           256, 256},
-                          payload);
-    }
-    auto wire = std::move(builder).finish();
-    benchmark::DoNotOptimize(wire.data());
-  }
-}
-BENCHMARK(BM_AggregatedEncode)->Arg(2)->Arg(8)->Arg(64);
 
 void BM_ReassemblyOutOfOrder(benchmark::State& state) {
   const auto chunks = static_cast<std::size_t>(state.range(0));

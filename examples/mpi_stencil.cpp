@@ -34,8 +34,8 @@ int main() {
   using namespace nmad;
 
   core::TwoNodePlatform platform(core::paper_platform("aggreg_greedy"));
-  api::Communicator rank0(platform.a(), platform.gate_ab());
-  api::Communicator rank1(platform.b(), platform.gate_ba());
+  api::Communicator rank0(platform.a(), {core::kNoGate, platform.gate_ab()}, 0);
+  api::Communicator rank1(platform.b(), {platform.gate_ba(), core::kNoGate}, 1);
 
   // Initial condition: a hot spike in the middle of rank0's domain.
   std::vector<double> cells0(kCellsPerRank, 0.0);

@@ -24,21 +24,21 @@ RecvStatus MpiRequest::status() const {
 MpiRequest Communicator::isend_bytes(std::span<const std::byte> data,
                                      core::Tag tag) {
   NMAD_ASSERT(tag < core::kReservedTagBase,
-              "tag collides with the reserved (collective/barrier) tag space");
+              "tag collides with the reserved (collective) tag space");
   MpiRequest req;
-  req.session_ = session_;
+  req.session_ = &session();
   req.tag_ = tag;
-  req.send_ = session_->isend(gate_, tag, data);
+  req.send_ = session().isend(gate_, tag, data);
   return req;
 }
 
 MpiRequest Communicator::irecv_bytes(std::span<std::byte> buffer, core::Tag tag) {
   NMAD_ASSERT(tag < core::kReservedTagBase,
-              "tag collides with the reserved (collective/barrier) tag space");
+              "tag collides with the reserved (collective) tag space");
   MpiRequest req;
-  req.session_ = session_;
+  req.session_ = &session();
   req.tag_ = tag;
-  req.recv_ = session_->irecv(gate_, tag, buffer);
+  req.recv_ = session().irecv(gate_, tag, buffer);
   return req;
 }
 
@@ -64,19 +64,8 @@ RecvStatus Communicator::sendrecv(std::span<const std::byte> send_data,
 }
 
 void Communicator::barrier() {
-  if (group_) {
-    // N-party: dissemination across every rank of the group.
-    const bool ok = group_->barrier();
-    NMAD_ASSERT(ok, "N-party barrier failed (a peer's gate died)");
-    return;
-  }
-  // Two-party: exchange zero-byte tokens; completion of the inbound token
-  // proves the peer reached its barrier() too.
-  std::byte dummy;
-  auto recv = session_->irecv(gate_, kBarrierTag, std::span<std::byte>(&dummy, 0));
-  auto send = session_->isend(gate_, kBarrierTag, {});
-  session_->wait(recv);
-  session_->wait(send);
+  const bool ok = group_->barrier();
+  NMAD_ASSERT(ok, "barrier failed (a peer's gate died)");
 }
 
 }  // namespace nmad::api

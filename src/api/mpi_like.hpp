@@ -8,17 +8,16 @@
 // tag matching, sendrecv, and a barrier — enough to port small MPI-style
 // kernels onto the multi-rail engine unchanged.
 //
-// Two shapes exist: the original two-party communicator bound to one gate
-// (the paper's whole evaluation is two nodes), and an N-party form bound
-// to one gate per peer, whose barrier() runs the collectives layer's
-// dissemination algorithm (src/coll/). Richer group operations
-// (broadcast/reduce/allreduce) live in coll::Communicator, reachable via
-// group().
+// A Communicator is a thin typed wrapper around one rank of a
+// coll::Communicator: one gate per peer, an explicit rank, and N = 2 (the
+// paper's two-node evaluation) as an ordinary case. barrier() is the
+// collectives layer's dissemination barrier; richer group operations
+// (broadcast/reduce/allreduce) are reachable via group().
 //
 // Tag discipline: user tags must stay below core::kReservedTagBase — the
-// space above it carries the collective tag streams and the barrier token,
-// and a user message there would silently cross-match protocol traffic, so
-// both posting paths reject it.
+// space above it carries the collective tag streams, and a user message
+// there would silently cross-match protocol traffic, so both posting paths
+// reject it.
 #pragma once
 
 #include <cstdint>
@@ -56,41 +55,29 @@ class MpiRequest {
   core::Tag tag_ = 0;
 };
 
-/// One endpoint of an MPI-style communicator: two-party (bound to a single
-/// gate) or N-party (one gate per peer).
+/// One rank of an MPI-style communicator (one gate per peer).
 class Communicator {
  public:
-  Communicator(core::Session& session, core::GateId gate)
-      : session_(&session), gate_(gate) {}
-
-  /// N-party: peer_gates[r] is this session's gate towards rank r (entry
-  /// [rank] is ignored). Point-to-point calls on this object address the
-  /// default peer — rank 0, or rank 1 when this endpoint is rank 0; use
-  /// to_peer(r) for an explicit destination. barrier() synchronizes all N
-  /// ranks via dissemination.
+  /// peer_gates[r] is this session's gate towards rank r (entry [rank] is
+  /// ignored). Point-to-point calls on this object address the default
+  /// peer — rank 0, or rank 1 when this endpoint is rank 0; use to_peer(r)
+  /// for an explicit destination. barrier() synchronizes all ranks via
+  /// dissemination.
   Communicator(core::Session& session, std::vector<core::GateId> peer_gates,
                std::size_t rank)
-      : session_(&session),
-        group_(std::make_shared<coll::Communicator>(session, peer_gates, rank)) {
-    gate_ = peer_gates[rank == 0 ? (peer_gates.size() > 1 ? 1 : 0) : 0];
-  }
+      : group_(std::make_shared<coll::Communicator>(session, peer_gates, rank)),
+        gate_(peer_gates[rank == 0 ? (peer_gates.size() > 1 ? 1 : 0) : 0]) {}
 
-  /// Group size: 2 for the two-party form.
-  [[nodiscard]] std::size_t size() const noexcept {
-    return group_ ? group_->size() : 2;
-  }
-  /// This endpoint's rank; the two-party form has no rank numbering.
-  [[nodiscard]] std::size_t rank() const noexcept {
-    return group_ ? group_->rank() : 0;
-  }
-  /// N-party only: a two-party view addressing rank r for point-to-point
-  /// traffic. Copies share this communicator's group state.
+  [[nodiscard]] std::size_t size() const noexcept { return group_->size(); }
+  [[nodiscard]] std::size_t rank() const noexcept { return group_->rank(); }
+  /// A view addressing rank r for point-to-point traffic. Copies share
+  /// this communicator's group state.
   [[nodiscard]] Communicator to_peer(std::size_t r) const {
     Communicator c(*this);
-    c.gate_ = group_ ? group_->gate_to(r) : gate_;
+    c.gate_ = group_->gate_to(r);
     return c;
   }
-  /// N-party only: the collectives-layer communicator behind barrier() —
+  /// The collectives-layer communicator behind barrier() —
   /// broadcast/reduce/allreduce and non-blocking handles live there.
   [[nodiscard]] coll::Communicator& group() noexcept { return *group_; }
 
@@ -127,25 +114,18 @@ class Communicator {
   RecvStatus sendrecv(std::span<const std::byte> send_data, core::Tag send_tag,
                       std::span<std::byte> recv_buffer, core::Tag recv_tag);
 
-  /// Barrier. Two-party: a zero-byte token each way on a reserved tag.
-  /// N-party: the collectives layer's dissemination barrier (all ranks
-  /// must be progressing concurrently — see coll::Communicator::wait).
+  /// Dissemination barrier over every rank (all ranks must be progressing
+  /// concurrently — see coll::Communicator::wait).
   void barrier();
 
-  [[nodiscard]] core::Session& session() noexcept { return *session_; }
+  [[nodiscard]] core::Session& session() noexcept { return group_->session(); }
   [[nodiscard]] core::GateId gate() const noexcept { return gate_; }
 
  private:
-  /// Tag of the two-party barrier token, at the very top of the reserved
-  /// space (above the collective tag windows).
-  static constexpr core::Tag kBarrierTag = 0xffffffffu;
-  static_assert(kBarrierTag >= core::kReservedTagBase);
-
-  core::Session* session_;
-  core::GateId gate_ = 0;
-  /// Set only for the N-party form (shared so copies stay cheap and agree
-  /// on collective instance counters).
+  /// Shared so copies stay cheap and agree on collective instance counters.
   std::shared_ptr<coll::Communicator> group_;
+  /// Gate of the default point-to-point peer.
+  core::GateId gate_;
 };
 
 }  // namespace nmad::api

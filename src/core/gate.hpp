@@ -201,7 +201,7 @@ class Gate {
     bool assembling = false;
     RecvRequest* recv = nullptr;
     /// Unexpected-message storage (assembly writes here until a receive is
-    /// posted, then rebinds into the user buffer).
+    /// posted, then rebinds into the receive's segments).
     std::vector<std::byte> temp;
     proto::MessageAssembly assembly{std::span<std::byte>{}};
   };

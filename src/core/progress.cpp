@@ -46,6 +46,15 @@ constexpr std::size_t kLaneCacheSize = 8;
 thread_local std::array<LaneCacheEntry, kLaneCacheSize> tls_lane_cache{};
 thread_local std::uint32_t tls_lane_cache_clock = 0;
 
+/// Max submissions popped per lane per drain round — bounds the world mutex
+/// hold time while keeping the round-robin fair across lanes.
+constexpr std::size_t kDrainChunk = 256;
+
+/// wait() panics after the world stays quiet this long (engine idle, all
+/// submission rings empty) with its predicate still false: an application
+/// deadlock. The serial equivalent is run_until() draining the queue.
+constexpr std::chrono::milliseconds kStallTimeout{5000};
+
 }  // namespace
 
 ProgressMode progress_mode_from_env() {
@@ -334,7 +343,7 @@ bool ProgressEngine::drain_submissions() {
     // empty poll would keep the wait() watchdog from ever seeing quiet.
     if (lane.empty()) continue;
     SubmitOp op;
-    for (std::size_t k = 0; k < cfg_.drain_chunk; ++k) {
+    for (std::size_t k = 0; k < kDrainChunk; ++k) {
       // Account the op as in flight BEFORE popping: between the pop (ring
       // now empty) and submit (engine now busy) the wait() watchdog would
       // otherwise sample the world as quiet. The increment is sequenced
@@ -398,7 +407,6 @@ void ProgressEngine::wait(const std::function<bool()>& pred) {
   bool quiet = false;
   while (!pred()) {
     park(pred, kSlice);
-    if (cfg_.stall_timeout_ms == 0) continue;
     // Deadlock watchdog: "quiet" must hold CONTINUOUSLY for the timeout —
     // the progress thread can be mid-callback with the queues momentarily
     // empty, so one quiet sample proves nothing.
@@ -410,8 +418,7 @@ void ProgressEngine::wait(const std::function<bool()>& pred) {
     if (!quiet) {
       quiet = true;
       quiet_since = now;
-    } else if (now - quiet_since >
-               std::chrono::milliseconds(cfg_.stall_timeout_ms)) {
+    } else if (now - quiet_since > kStallTimeout) {
       NMAD_PANIC(
           "threaded wait stalled: engine idle, submissions drained, predicate "
           "still false (deadlock in the communication pattern?)");

@@ -165,14 +165,6 @@ class ProgressEngine {
     /// Overridable via NMAD_SUBMIT_RING_CAP when the caller leaves it at
     /// the default (see ring_capacity_from_env).
     std::size_t submission_capacity = 1024;
-    /// Max submissions popped per lane per drain round — bounds the world
-    /// mutex hold time while keeping the round-robin fair across lanes.
-    std::size_t drain_chunk = 256;
-    /// Panic after this long with the engine idle, all submission rings
-    /// empty and a wait() predicate still false (application deadlock —
-    /// the serial mode equivalent is run_until() draining the queue).
-    /// 0 disables the watchdog.
-    std::uint64_t stall_timeout_ms = 5000;
   };
 
   struct Hooks {
@@ -216,8 +208,8 @@ class ProgressEngine {
 
   /// Block until pred() holds, parked on the world's completion doorbell
   /// while the progress thread does the work. Panics if the world stays
-  /// quiet (engine idle, every lane drained) for longer than
-  /// Config::stall_timeout_ms with pred still false.
+  /// quiet (engine idle, every lane drained) for longer than 5 s with pred
+  /// still false.
   void wait(const std::function<bool()>& pred);
 
   /// Park on the world's completion doorbell until a request of the world
@@ -288,7 +280,7 @@ class ProgressEngine {
     RecvHandle recv;
   };
 
-  /// Pop up to drain_chunk ops per non-empty lane into the scheduler
+  /// Pop up to kDrainChunk ops per non-empty lane into the scheduler
   /// (under the world lock). Returns true if any op moved.
   bool drain_submissions();
   void push_submission(SpscRing<SubmitOp>& lane, SubmitOp op);

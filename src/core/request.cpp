@@ -50,10 +50,20 @@ void SendRequest::fail(sim::TimeNs now) {
   state_.store(RequestState::kFailed, std::memory_order_release);
 }
 
+RecvRequest::RecvRequest(Tag tag, std::span<const std::span<std::byte>> segments)
+    : tag_(tag) {
+  if (segments.size() == 1) {
+    first_ = segments[0];
+  } else {
+    more_.assign(segments.begin(), segments.end());
+  }
+  for (const auto& s : segments) capacity_ += s.size();
+}
+
 void RecvRequest::complete(std::uint32_t received_len, sim::TimeNs now) {
   NMAD_ASSERT(state_.load(std::memory_order_relaxed) == RequestState::kPending,
               "double completion of recv");
-  NMAD_ASSERT(received_len <= buffer_.size(), "received more than buffer holds");
+  NMAD_ASSERT(received_len <= capacity_, "received more than buffer holds");
   received_len_.store(received_len, std::memory_order_relaxed);
   completion_time_.store(now, std::memory_order_relaxed);
   state_.store(RequestState::kCompleted, std::memory_order_release);

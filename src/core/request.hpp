@@ -106,8 +106,11 @@ class SendRequest {
 
 class RecvRequest {
  public:
-  RecvRequest(Tag tag, std::span<std::byte> buffer)
-      : tag_(tag), buffer_(buffer) {}
+  /// A receive into `segments`, filled in order: a message shorter than
+  /// their total leaves the tail untouched. A one-segment receive is held
+  /// inline; only a multi-segment one allocates a segment list. The
+  /// received bytes are copied straight into the segments.
+  RecvRequest(Tag tag, std::span<const std::span<std::byte>> segments);
 
   [[nodiscard]] Tag tag() const noexcept { return tag_; }
   /// Receive ordinal for this (gate, tag) stream (assigned at submission).
@@ -115,7 +118,13 @@ class RecvRequest {
     return seq_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] MsgKey key() const noexcept { return MsgKey{tag_, seq()}; }
-  [[nodiscard]] std::span<std::byte> buffer() const noexcept { return buffer_; }
+  [[nodiscard]] std::span<const std::span<std::byte>> segments() const noexcept {
+    if (!more_.empty()) return more_;
+    return {&first_, 1};
+  }
+  /// Bytes the segments hold together: the longest message this receive
+  /// accepts.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   [[nodiscard]] bool completed() const noexcept {
     return state_.load(std::memory_order_acquire) == RequestState::kCompleted;
@@ -152,7 +161,10 @@ class RecvRequest {
  private:
   Tag tag_;
   std::atomic<MsgSeq> seq_{0};
-  std::span<std::byte> buffer_;
+  /// The only segment, or empty when `more_` holds them all.
+  std::span<std::byte> first_;
+  std::vector<std::span<std::byte>> more_;
+  std::size_t capacity_ = 0;
   std::atomic<std::uint32_t> received_len_{0};
   std::atomic<RequestState> state_{RequestState::kPending};
   std::atomic<sim::TimeNs> completion_time_{-1};

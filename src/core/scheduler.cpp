@@ -231,9 +231,9 @@ SendHandle Scheduler::isend(GateId gate_id, Tag tag,
 }
 
 RecvHandle Scheduler::make_recv(GateId gate_id, Tag tag,
-                                std::span<std::byte> buffer) {
+                                std::span<const std::span<std::byte>> segments) {
   NMAD_ASSERT(gate_id < gates_.size(), "unknown gate id");
-  auto req = std::make_shared<RecvRequest>(tag, buffer);
+  auto req = std::make_shared<RecvRequest>(tag, segments);
   req->note_submit_time(now_());
   req->note_gate(gate_id);
   metrics_.recvs_posted.inc();
@@ -266,8 +266,9 @@ void Scheduler::submit_recv(RecvHandle req) {
   schedule_pump(g);
 }
 
-RecvHandle Scheduler::irecv(GateId gate_id, Tag tag, std::span<std::byte> buffer) {
-  RecvHandle req = make_recv(gate_id, tag, buffer);
+RecvHandle Scheduler::irecv(GateId gate_id, Tag tag,
+                            std::span<const std::span<std::byte>> segments) {
+  RecvHandle req = make_recv(gate_id, tag, segments);
   submit_recv(req);
   return req;
 }
@@ -601,11 +602,11 @@ void Scheduler::bind_recv(Gate& gate, Gate::Incoming& inc, RecvRequest* recv) {
   NMAD_ASSERT(inc.recv == nullptr, "incoming message bound twice");
   inc.recv = recv;
   if (inc.total_known) {
-    NMAD_ASSERT(recv->buffer().size() >= inc.total_len,
+    NMAD_ASSERT(recv->capacity() >= inc.total_len,
                 "receive buffer smaller than incoming message");
     if (inc.assembling) {
-      // Migrate from unexpected-message storage into the user buffer.
-      inc.assembly.rebind(recv->buffer().first(inc.total_len));
+      // Migrate from unexpected-message storage into the user segments.
+      inc.assembly.rebind(recv->segments());
       inc.temp.clear();
       inc.temp.shrink_to_fit();
     } else {
@@ -621,17 +622,15 @@ void Scheduler::bind_recv(Gate& gate, Gate::Incoming& inc, RecvRequest* recv) {
 void Scheduler::ensure_assembly(Gate::Incoming& inc) {
   if (inc.assembling) return;
   NMAD_ASSERT(inc.total_known, "assembly requires known message length");
-  std::span<std::byte> dest;
   if (inc.recv != nullptr) {
-    NMAD_ASSERT(inc.recv->buffer().size() >= inc.total_len,
+    NMAD_ASSERT(inc.recv->capacity() >= inc.total_len,
                 "receive buffer smaller than incoming message");
-    dest = inc.recv->buffer().first(inc.total_len);
+    inc.assembly.reset(inc.recv->segments(), inc.total_len);
   } else {
     inc.temp.resize(inc.total_len);
-    dest = inc.temp;
+    inc.assembly.reset(inc.temp);
     metrics_.unexpected_msgs.inc();
   }
-  inc.assembly.reset(dest);
   inc.assembling = true;
 }
 

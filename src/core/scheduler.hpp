@@ -102,10 +102,12 @@ class Scheduler {
   SendHandle isend(GateId gate, Tag tag,
                    std::span<const std::span<const std::byte>> segments);
 
-  /// Post a receive for the next message with `tag` on `gate`. `buffer`
-  /// must be at least as large as the matching message. Equivalent to
-  /// make_recv + submit_recv.
-  RecvHandle irecv(GateId gate, Tag tag, std::span<std::byte> buffer);
+  /// Post a receive for the next message with `tag` on `gate`, landing in
+  /// `segments` in order. Together they must hold at least the matching
+  /// message; the memory must stay valid until the request completes (the
+  /// list itself is copied). Equivalent to make_recv + submit_recv.
+  RecvHandle irecv(GateId gate, Tag tag,
+                   std::span<const std::span<std::byte>> segments);
 
   // --- split submission (threaded progression) ----------------------------
   // make_* builds and stamps the request without touching any gate or
@@ -119,8 +121,8 @@ class Scheduler {
   [[nodiscard]] SendHandle make_send(
       GateId gate, Tag tag, std::span<const std::span<const std::byte>> segments);
   void submit_send(SendHandle req);
-  [[nodiscard]] RecvHandle make_recv(GateId gate, Tag tag,
-                                     std::span<std::byte> buffer);
+  [[nodiscard]] RecvHandle make_recv(
+      GateId gate, Tag tag, std::span<const std::span<std::byte>> segments);
   void submit_recv(RecvHandle req);
 
   /// Install the settled-request observer (nullptr to remove). Not

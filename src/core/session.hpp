@@ -48,11 +48,14 @@ class PackBuilder {
 };
 
 /// Incremental extraction of an incoming message into scattered user
-/// buffers. The message is received into the registered spans in order.
+/// buffers. The message fills the registered spans in order; a message
+/// shorter than their total leaves the tail untouched. Each arriving chunk
+/// is copied straight into the segments, so once the request tests
+/// complete the data is in place.
 class UnpackBuilder {
  public:
   UnpackBuilder& add(std::span<std::byte> segment);
-  /// Post the receive; completion scatters the payload into the segments.
+  /// Post the receive; the builder must not be reused afterwards.
   RecvHandle submit();
 
  private:
@@ -164,6 +167,8 @@ class Session {
   void wait_group(const RequestGroup& group) {
     wait_all(group.sends(), group.recvs());
   }
+  /// Non-blocking completion check. A completed receive's bytes are
+  /// already in the user's memory (unpack segments included).
   [[nodiscard]] static bool test(const SendHandle& h) { return h->completed(); }
   [[nodiscard]] static bool test(const RecvHandle& h) { return h->completed(); }
 
@@ -178,18 +183,10 @@ class Session {
  private:
   friend class UnpackBuilder;
 
-  /// Scatter bookkeeping for unpack receives: the message lands in a
-  /// contiguous staging buffer, then is copied into the user segments when
-  /// the application waits on (or tests) the handle.
-  struct PendingUnpack {
-    RecvHandle handle;
-    std::shared_ptr<std::vector<std::byte>> staging;
-    std::vector<std::span<std::byte>> segments;
-  };
   SendHandle send(GateId gate, Tag tag,
                   std::span<const std::span<const std::byte>> segments);
-  RecvHandle post_unpack(GateId gate, Tag tag, std::vector<std::span<std::byte>> segments);
-  void scatter_ready_unpacks();
+  RecvHandle recv(GateId gate, Tag tag,
+                  std::span<const std::span<std::byte>> segments);
 
   std::string name_;
   Scheduler scheduler_;
@@ -197,7 +194,6 @@ class Session {
   /// Live only in threaded mode. Declared after scheduler_ so it is
   /// destroyed (detached, completion hook removed) first.
   std::unique_ptr<ProgressEngine> progress_engine_;
-  std::vector<PendingUnpack> pending_unpacks_;
 };
 
 }  // namespace nmad::core

@@ -32,8 +32,7 @@ struct ConstSegment {
 
 /// First tag of the space reserved for library-internal protocols: the
 /// collectives layer (coll::Communicator) carves its per-instance tag
-/// streams out of [kReservedTagBase, 0xffffffff], and api::mpi_like's
-/// barrier token rides the very top of it. User-facing API layers must
+/// streams out of [kReservedTagBase, 0xffffffff]. User-facing API layers must
 /// reject application tags at or above this value — a user message on a
 /// reserved tag would silently cross-match against protocol traffic.
 inline constexpr Tag kReservedTagBase = 0xffff0000u;

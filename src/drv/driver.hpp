@@ -86,10 +86,6 @@ struct SendDesc {
   SendDesc() = default;
   SendDesc(Track t, proto::PacketView v, double cpu = 0.0)
       : track(t), view(std::move(v)), extra_cpu_us(cpu) {}
-  /// Legacy flat-buffer form (tests, pre-gather call sites).
-  SendDesc(Track t, std::vector<std::byte> wire, double cpu = 0.0)
-      : track(t), view(proto::PacketView::flat(std::move(wire))),
-        extra_cpu_us(cpu) {}
 
   [[nodiscard]] std::size_t wire_size() const noexcept {
     return view.wire_size();

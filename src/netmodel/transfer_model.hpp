@@ -1,10 +1,9 @@
 // Analytic transfer-time predictions derived from a NicProfile.
 //
-// Two users:
-//  - the sampling subsystem validates its measured linear fits against these
-//    closed forms (they must agree when no contention occurs);
-//  - strategies may fall back to the analytic model when no sampling data is
-//    available (e.g. a rail added after initialization).
+// This is the closed-form reference the simulator is checked against:
+// tests/test_transfer_model.cpp runs isolated transfers (no contention)
+// through the simulated platform and requires them to land within a few
+// percent of these formulas. No library code calls it.
 //
 // The analytic model deliberately ignores bus contention — contention is an
 // emergent property of concurrent flows and is what the simulator computes;
@@ -37,7 +36,7 @@ class TransferModel {
   [[nodiscard]] double transfer_us(std::uint64_t payload_bytes) const noexcept;
 
   /// Marginal cost of one extra byte on the bulk path (µs/byte); the
-  /// reciprocal of the DMA bandwidth. Used for split-ratio computation.
+  /// reciprocal of the DMA bandwidth.
   [[nodiscard]] double bulk_cost_per_byte_us() const noexcept;
 
  private:

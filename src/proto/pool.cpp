@@ -16,15 +16,11 @@ struct PooledBuffer::PoolState {
   std::uint64_t recycled = 0;
 };
 
-PooledBuffer PooledBuffer::unpooled(std::vector<std::byte> bytes) {
-  return PooledBuffer(std::move(bytes), nullptr);
-}
-
 void PooledBuffer::release() noexcept {
   if (!live_) return;
   live_ = false;
   fresh_ = false;
-  if (state_ != nullptr && state_->free.size() < state_->max_free) {
+  if (state_->free.size() < state_->max_free) {
     storage_.clear();  // keeps capacity
     state_->recycled += 1;
     state_->free.push_back(std::move(storage_));

@@ -59,10 +59,6 @@ class PooledBuffer {
   PooledBuffer(const PooledBuffer&) = delete;
   PooledBuffer& operator=(const PooledBuffer&) = delete;
 
-  /// Wrap an already-filled buffer with no pool behind it (legacy flat
-  /// packets); destruction simply frees it.
-  [[nodiscard]] static PooledBuffer unpooled(std::vector<std::byte> bytes);
-
   [[nodiscard]] bool live() const noexcept { return live_; }
   /// True when acquire() had to heap-allocate this block (a pool miss) —
   /// the signal behind the allocs_hot_path counter.

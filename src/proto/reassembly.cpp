@@ -1,5 +1,6 @@
 #include "proto/reassembly.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/fmt.hpp"
@@ -7,32 +8,52 @@
 
 namespace nmad::proto {
 
-void MessageAssembly::rebind(std::span<std::byte> new_dest) {
-  NMAD_ASSERT(new_dest.size() == dest_.size(), "rebind to differently-sized buffer");
-  if (new_dest.data() == dest_.data()) return;
-  if (whole()) {
-    std::memcpy(new_dest.data(), dest_.data(), received_);
+namespace {
+
+/// Copy `bytes` to message offset `offset` of a destination made of
+/// `segments`, filled in order: one memcpy per segment the range touches.
+void scatter(std::span<const std::span<std::byte>> segments,
+             std::uint64_t offset, std::span<const std::byte> bytes) {
+  for (const std::span<std::byte> seg : segments) {
+    if (bytes.empty()) return;
+    if (offset >= seg.size()) {
+      offset -= seg.size();
+      continue;
+    }
+    const auto n = std::min<std::size_t>(seg.size() - offset, bytes.size());
+    std::memcpy(seg.data() + offset, bytes.data(), n);
+    bytes = bytes.subspan(n);
+    offset = 0;
   }
+}
+
+}  // namespace
+
+void MessageAssembly::rebind(std::span<const std::span<std::byte>> segments) {
+  NMAD_ASSERT(segments_.empty(), "rebind of an assembly already in segments");
+  if (whole()) scatter(segments, 0, dest_.first(received_));
   for (const auto& [start, end] : intervals_) {
-    std::memcpy(new_dest.data() + start, dest_.data() + start, end - start);
+    scatter(segments, start, dest_.subspan(start, end - start));
   }
-  dest_ = new_dest;
+  dest_ = {};
+  segments_ = segments;
 }
 
 util::Expected<bool> MessageAssembly::add_chunk(std::uint64_t offset,
                                                 std::span<const std::byte> payload) {
   if (payload.empty()) return false;
   const std::uint64_t end = offset + payload.size();
-  if (end > dest_.size()) {
+  if (end > total_) {
     return util::make_error(util::sformat(
-        "chunk [%llu, %llu) exceeds message length %zu",
+        "chunk [%llu, %llu) exceeds message length %llu",
         static_cast<unsigned long long>(offset),
-        static_cast<unsigned long long>(end), dest_.size()));
+        static_cast<unsigned long long>(end),
+        static_cast<unsigned long long>(total_)));
   }
   // Every byte already landed: any in-range chunk is a duplicate.
   if (complete()) return false;
-  if (received_ == 0 && payload.size() == dest_.size()) {
-    std::memcpy(dest_.data(), payload.data(), payload.size());
+  if (received_ == 0 && payload.size() == total_) {
+    scatter(destination(), 0, payload);
     received_ = payload.size();
     return true;
   }
@@ -66,7 +87,7 @@ util::Expected<bool> MessageAssembly::add_chunk(std::uint64_t offset,
         static_cast<unsigned long long>(it->second)));
   }
 
-  std::memcpy(dest_.data() + offset, payload.data(), payload.size());
+  scatter(destination(), offset, payload);
   received_ += payload.size();
 
   // Insert and merge with adjacent intervals.

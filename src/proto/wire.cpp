@@ -88,39 +88,9 @@ void encode_control_into(std::span<std::byte> out, PacketKind kind,
 
 }  // namespace
 
-PacketBuilder::PacketBuilder(PacketKind kind) : kind_(kind) {}
-
-void PacketBuilder::add_segment(const SegHeader& header,
-                                std::span<const std::byte> payload) {
-  NMAD_ASSERT(payload.size() == header.len, "segment payload/len mismatch");
-  NMAD_ASSERT(header.len == 0 ||
-                  static_cast<std::uint64_t>(header.offset) + header.len <=
-                      header.total_len,
-              "segment extent exceeds message length");
-  headers_.push_back(header);
-  payload_.insert(payload_.end(), payload.begin(), payload.end());
-}
-
-std::vector<std::byte> PacketBuilder::finish() && {
-  NMAD_ASSERT(!headers_.empty(), "encoding packet with no segments");
-  NMAD_ASSERT(headers_.size() <= 0xffff, "too many segments in one packet");
-  std::vector<std::byte> out;
-  out.reserve(wire_size());
-  append_packet_header(out, kind_, static_cast<std::uint16_t>(headers_.size()),
-                       static_cast<std::uint32_t>(payload_.size()));
-  NMAD_ASSERT(out.size() == kPacketHeaderBytes, "packet header layout drift");
-  for (const SegHeader& h : headers_) append_seg_header(out, h);
-  out.insert(out.end(), payload_.begin(), payload_.end());
-  return out;
-}
-
 // --------------------------------------------------------------------------
 // PacketView / GatherBuilder
 // --------------------------------------------------------------------------
-
-PacketView PacketView::flat(std::vector<std::byte> wire) {
-  return from_encoded(PooledBuffer::unpooled(std::move(wire)));
-}
 
 PacketView PacketView::from_encoded(PooledBuffer head) {
   PacketView view;
@@ -418,25 +388,6 @@ util::Expected<PacketReader> read_packet(std::span<const std::byte> wire) {
     return util::make_error("segment lengths do not cover packet payload");
   }
   return PacketReader(wire, static_cast<PacketKind>(kind_raw), seg_count);
-}
-
-std::vector<std::byte> encode_data_packet(const SegHeader& header,
-                                          std::span<const std::byte> payload) {
-  PacketBuilder b(PacketKind::kData);
-  b.add_segment(header, payload);
-  return std::move(b).finish();
-}
-
-std::vector<std::byte> encode_rdv_req(Tag tag, MsgSeq seq, std::uint32_t total_len) {
-  std::vector<std::byte> out(kControlPacketBytes);
-  encode_rdv_req_into(out, tag, seq, total_len);
-  return out;
-}
-
-std::vector<std::byte> encode_rdv_ack(Tag tag, MsgSeq seq) {
-  std::vector<std::byte> out(kControlPacketBytes);
-  encode_rdv_ack_into(out, tag, seq);
-  return out;
 }
 
 PacketView encode_data_packet_view(BufferPool& pool, const SegHeader& header,

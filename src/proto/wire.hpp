@@ -163,11 +163,6 @@ class PacketView {
   PacketView(const PacketView&) = delete;
   PacketView& operator=(const PacketView&) = delete;
 
-  /// Wrap a fully encoded flat packet (header + payload already
-  /// contiguous). Compatibility shim for pre-gather call sites; reports
-  /// zero copied bytes because the copy happened before the view existed.
-  [[nodiscard]] static PacketView flat(std::vector<std::byte> wire);
-
   /// Wrap an encoded head-only packet (e.g. a control packet: the whole
   /// wire image lives in `head`, there is no payload).
   [[nodiscard]] static PacketView from_encoded(PooledBuffer head);
@@ -178,7 +173,8 @@ class PacketView {
   /// view still owns. The alias must not outlive the original.
   [[nodiscard]] PacketView alias() const;
 
-  /// Encoded packet header + seg headers (for flat views: the whole wire).
+  /// Encoded packet header + seg headers (for control packets: the whole
+  /// wire).
   [[nodiscard]] std::span<const std::byte> head() const noexcept {
     return alias_head_.data() != nullptr ? alias_head_ : head_.bytes();
   }
@@ -220,9 +216,10 @@ class PacketView {
   std::size_t copied_bytes_ = 0;
 };
 
-/// Gather-aware packet builder: encodes headers incrementally into the
-/// (pooled) head block and records payload *references* instead of copying
-/// them. Segments are either referenced in place (`add_segment`, zero-copy)
+/// The packet encoder (encode_data_packet_view wraps it; the control
+/// packets are fixed images written by encode_rdv_*_into): encodes headers
+/// incrementally into the (pooled) head block and records payload
+/// *references* instead of copying them. Segments are either referenced in place (`add_segment`, zero-copy)
 /// or staged (`add_segment_staged`, the paper's aggregation memcpy into a
 /// contiguous area). finish() seals the header and resolves the span list.
 class GatherBuilder {
@@ -241,14 +238,6 @@ class GatherBuilder {
   /// resolve to a single contiguous span.
   void add_segment_staged(const SegHeader& header,
                           std::span<const std::byte> payload);
-
-  [[nodiscard]] std::size_t seg_count() const noexcept { return seg_count_; }
-  [[nodiscard]] std::size_t payload_bytes() const noexcept { return payload_bytes_; }
-  /// Bytes memcpy'd into staging so far (== the packet's copied_bytes()).
-  [[nodiscard]] std::size_t staged_bytes() const noexcept { return staged_bytes_; }
-  [[nodiscard]] std::size_t wire_size() const noexcept {
-    return packet_wire_size(seg_count_, payload_bytes_);
-  }
 
   /// Seal the header (patch seg_count/payload_len) and resolve the payload
   /// span list. The builder may not be reused afterwards.
@@ -271,30 +260,6 @@ class GatherBuilder {
   std::size_t seg_count_ = 0;
   std::size_t payload_bytes_ = 0;
   std::size_t staged_bytes_ = 0;
-};
-
-/// Incrementally builds an encoded packet.
-class PacketBuilder {
- public:
-  explicit PacketBuilder(PacketKind kind);
-
-  /// Append a segment. For control packets, pass an empty payload.
-  /// `payload.size()` must equal `header.len`.
-  void add_segment(const SegHeader& header, std::span<const std::byte> payload);
-
-  [[nodiscard]] std::size_t seg_count() const noexcept { return headers_.size(); }
-  [[nodiscard]] std::size_t payload_bytes() const noexcept { return payload_.size(); }
-  [[nodiscard]] std::size_t wire_size() const noexcept {
-    return packet_wire_size(headers_.size(), payload_.size());
-  }
-
-  /// Encode into a fresh buffer. The builder may not be reused afterwards.
-  [[nodiscard]] std::vector<std::byte> finish() &&;
-
- private:
-  PacketKind kind_;
-  std::vector<SegHeader> headers_;
-  std::vector<std::byte> payload_;
 };
 
 /// One segment of a received packet: its header plus a view of its payload
@@ -357,17 +322,6 @@ class PacketReader {
 /// segment lengths against the payload, each extent against its message
 /// length) and return a reader over its segments.
 util::Expected<PacketReader> read_packet(std::span<const std::byte> wire);
-
-/// Convenience: build a single-segment data packet (flat, copies the
-/// payload — legacy/test path; the hot path uses encode_data_packet_view).
-std::vector<std::byte> encode_data_packet(const SegHeader& header,
-                                          std::span<const std::byte> payload);
-
-/// Convenience: build a rendezvous request for a message of `total_len`.
-std::vector<std::byte> encode_rdv_req(Tag tag, MsgSeq seq, std::uint32_t total_len);
-
-/// Convenience: build a rendezvous grant.
-std::vector<std::byte> encode_rdv_ack(Tag tag, MsgSeq seq);
 
 /// Zero-copy single-segment data packet: pooled header block + a span
 /// referencing `payload` in place.

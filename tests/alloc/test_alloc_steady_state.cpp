@@ -11,15 +11,20 @@
 //    most one block per request (the shared_ptr behind each handle) and
 //    nothing per packet;
 //  - 1 MB messages striped under split_balance make no allocation of 4 KB
-//    or more (the simulated wire reuses its buffers).
+//    or more (the simulated wire reuses its buffers);
+//  - 64 KB messages received by a 4-segment unpack make none either (the
+//    chunks are copied straight into the segments, with no message-sized
+//    staging buffer).
 // Receives are always posted before the matching sends, so no message ever
 // lands in unexpected-message storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "core/platform.hpp"
@@ -135,6 +140,23 @@ void striped(TwoNodePlatform& p, std::size_t n, std::vector<std::byte>& payload,
   }
 }
 
+/// `n` messages of `payload`, each received by a 4-segment unpack posted
+/// before the send.
+void unpacked(TwoNodePlatform& p, std::size_t n, std::vector<std::byte>& payload,
+              std::vector<std::byte>& sink) {
+  const std::size_t quarter = sink.size() / 4;
+  for (std::size_t i = 0; i < n; ++i) {
+    UnpackBuilder unpack = p.b().unpack(p.gate_ba(), 5);
+    for (std::size_t k = 0; k < 4; ++k) {
+      unpack.add(std::span(sink).subspan(k * quarter, quarter));
+    }
+    RecvHandle r = unpack.submit();
+    SendHandle s = p.a().isend(p.gate_ab(), 5, payload);
+    p.b().wait(r);
+    p.a().wait(s);
+  }
+}
+
 constexpr std::size_t kMessages = 10'000;
 
 TEST(SteadyStateAllocs, PingPong8BAllocatesOnlyRequests) {
@@ -171,6 +193,22 @@ TEST(SteadyStateAllocs, Striped1MBMakesNoLargeAllocations) {
   striped(p, 50, payload, sink);
   const Counts c = count_allocs([&] { striped(p, kRuns, payload, sink); });
   std::printf("1 MB striped: %.2f allocations per message, %llu of >= %zu B over %zu messages\n",
+              static_cast<double>(c.allocs) / kRuns,
+              static_cast<unsigned long long>(c.big), kBigAlloc, kRuns);
+  EXPECT_EQ(c.big, 0u);
+  EXPECT_EQ(sink, payload);
+}
+
+TEST(SteadyStateAllocs, FourSegmentUnpack64KBMakesNoLargeAllocations) {
+  constexpr std::size_t kLen = 64 * 1024;
+  constexpr std::size_t kRuns = 200;
+  auto p = make_platform("aggreg_greedy", false);
+  std::vector<std::byte> payload(kLen, std::byte{0x5a});
+  std::vector<std::byte> sink(kLen);
+  unpacked(p, 50, payload, sink);
+  std::fill(sink.begin(), sink.end(), std::byte{0});
+  const Counts c = count_allocs([&] { unpacked(p, kRuns, payload, sink); });
+  std::printf("64 KB 4-segment unpack: %.2f allocations per message, %llu of >= %zu B over %zu messages\n",
               static_cast<double>(c.allocs) / kRuns,
               static_cast<unsigned long long>(c.big), kBigAlloc, kRuns);
   EXPECT_EQ(c.big, 0u);

@@ -9,6 +9,7 @@
 #include "core/platform.hpp"
 #include "drv/sim_driver.hpp"
 #include "proto/wire.hpp"
+#include "test_packets.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -209,6 +210,51 @@ TEST(PackUnpack, UnpackSegmentationMayDifferFromPack) {
   EXPECT_TRUE(std::equal(out2.begin(), out2.end(), data.begin() + 450));
 }
 
+TEST(PackUnpack, UnexpectedStripedMessageScattersIntoSegments) {
+  // A 1 MB message behind three eager head segments is sent before the
+  // unpack is posted: the heads land in unexpected-message storage, and
+  // posting the unpack must move them into three uneven segments (rebind)
+  // before the granted bulk is striped over both rails straight into the
+  // last one. The data is in place as soon as the world has delivered it —
+  // no wait() involved — and the spare tail stays untouched.
+  auto p = make_platform("split_balance");
+  const auto h1 = random_bytes(2000, 30);
+  const auto h2 = random_bytes(3000, 31);
+  const auto h3 = random_bytes(1500, 32);
+  const auto bulk = random_bytes(1 << 20, 33);
+  std::vector<std::byte> message;
+  for (const auto* part : {&h1, &h2, &h3, &bulk}) {
+    message.insert(message.end(), part->begin(), part->end());
+  }
+
+  auto pack = p.a().pack(p.gate_ab(), 6);
+  pack.add(h1).add(h2).add(h3).add(bulk);
+  auto send = pack.submit();
+  p.world().engine().run();  // heads delivered unexpected; RDV parked
+  EXPECT_FALSE(send->completed());
+
+  // Boundaries at 2500 (inside h2) and 5500 (inside h3); 64 spare bytes.
+  constexpr std::size_t kSpare = 64;
+  std::vector<std::byte> out1(2500), out2(3000);
+  std::vector<std::byte> out3(message.size() - 5500 + kSpare, std::byte{0xee});
+  auto unpack = p.b().unpack(p.gate_ba(), 6);
+  unpack.add(out1).add(out2).add(out3);
+  auto recv = unpack.submit();
+  p.world().engine().run();
+
+  ASSERT_TRUE(Session::test(recv));
+  EXPECT_EQ(recv->received_len(), message.size());
+  EXPECT_TRUE(std::equal(out1.begin(), out1.end(), message.begin()));
+  EXPECT_TRUE(std::equal(out2.begin(), out2.end(), message.begin() + 2500));
+  EXPECT_TRUE(std::equal(out3.begin(), out3.end() - kSpare, message.begin() + 5500));
+  EXPECT_EQ(std::vector<std::byte>(out3.end() - kSpare, out3.end()),
+            std::vector<std::byte>(kSpare, std::byte{0xee}));
+  // The bulk was striped: both rails carried DMA chunks.
+  EXPECT_GT(p.rails_a()[0]->stats().dma_packets, 0u);
+  EXPECT_GT(p.rails_a()[1]->stats().dma_packets, 0u);
+  p.a().wait(send);
+}
+
 TEST(Matching, BidirectionalSimultaneousTraffic) {
   auto p = make_platform();
   const auto pay_ab = random_bytes(100000, 16);
@@ -336,13 +382,14 @@ TEST(Matching, ContradictoryTotalLengthIsDroppedNotFatal) {
   SteppedGate g;
   const auto payload = random_bytes(8, 11);
   const auto chunk = [&](std::uint32_t offset, std::uint32_t total) {
-    return proto::encode_data_packet(
+    return test::data_packet_bytes(
         proto::SegHeader{9, 0, offset, 4, total},
         std::span(payload).subspan(offset, 4));
   };
 
   std::vector<std::byte> sink(8);
-  RecvHandle recv = g.sched.irecv(g.gate, 9, sink);
+  const std::span<std::byte> dest = sink;
+  RecvHandle recv = g.sched.irecv(g.gate, 9, std::span(&dest, 1));
   g.drain();
   g.inject(chunk(0, 8));
   EXPECT_FALSE(recv->done());
@@ -364,9 +411,10 @@ TEST(Matching, ContradictoryTotalLengthIsDroppedNotFatal) {
 
   const auto next = random_bytes(5, 12);
   std::vector<std::byte> sink2(5);
-  RecvHandle recv2 = g.sched.irecv(g.gate, 9, sink2);
+  const std::span<std::byte> dest2 = sink2;
+  RecvHandle recv2 = g.sched.irecv(g.gate, 9, std::span(&dest2, 1));
   g.drain();
-  g.inject(proto::encode_data_packet(proto::SegHeader{9, 1, 0, 5, 5}, next));
+  g.inject(test::data_packet_bytes(proto::SegHeader{9, 1, 0, 5, 5}, next));
   ASSERT_TRUE(recv2->completed());
   EXPECT_EQ(sink2, next);
   if (obs::kMetricsEnabled) {

@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/platform.hpp"
 #include "drv/sim_driver.hpp"
@@ -63,12 +64,16 @@ TEST_F(ErrorPaths, PostSendOnBusyTrackPanics) {
   auto [da, db] = world.add_link(na, nb, netmodel::myri10g());
   db->set_deliver([](drv::Track, std::span<const std::byte>) {});
 
-  const auto wire = proto::encode_data_packet(proto::SegHeader{0, 0, 0, 4, 4},
-                                              std::vector<std::byte>(4));
-  da->post_send(drv::SendDesc{drv::Track::kSmall, wire, 0.0}, nullptr);
-  EXPECT_THROW(
-      da->post_send(drv::SendDesc{drv::Track::kSmall, wire, 0.0}, nullptr),
-      std::runtime_error);
+  proto::BufferPool pool;
+  const std::vector<std::byte> payload(4);
+  auto desc = [&] {
+    return drv::SendDesc{drv::Track::kSmall,
+                         proto::encode_data_packet_view(
+                             pool, proto::SegHeader{0, 0, 0, 4, 4}, payload),
+                         0.0};
+  };
+  da->post_send(desc(), nullptr);
+  EXPECT_THROW(da->post_send(desc(), nullptr), std::runtime_error);
 }
 
 TEST_F(ErrorPaths, OversizedEagerPacketPanics) {
@@ -80,11 +85,13 @@ TEST_F(ErrorPaths, OversizedEagerPacketPanics) {
   db->set_deliver([](drv::Track, std::span<const std::byte>) {});
 
   const std::uint32_t huge = 64 * 1024;
-  const auto wire = proto::encode_data_packet(
-      proto::SegHeader{0, 0, 0, huge, huge}, std::vector<std::byte>(huge));
-  EXPECT_THROW(
-      da->post_send(drv::SendDesc{drv::Track::kSmall, wire, 0.0}, nullptr),
-      std::runtime_error);
+  proto::BufferPool pool;
+  const std::vector<std::byte> payload(huge);
+  drv::SendDesc desc{drv::Track::kSmall,
+                     proto::encode_data_packet_view(
+                         pool, proto::SegHeader{0, 0, 0, huge, huge}, payload),
+                     0.0};
+  EXPECT_THROW(da->post_send(std::move(desc), nullptr), std::runtime_error);
 }
 
 TEST_F(ErrorPaths, CorruptPacketDeliveryPanics) {

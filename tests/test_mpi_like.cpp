@@ -15,10 +15,11 @@ namespace {
 
 using namespace nmad;
 
+/// The two nodes as ranks 0 (a) and 1 (b) of an N = 2 communicator.
 struct CommFixture {
   core::TwoNodePlatform platform{core::paper_platform("aggreg_greedy")};
-  api::Communicator a{platform.a(), platform.gate_ab()};
-  api::Communicator b{platform.b(), platform.gate_ba()};
+  api::Communicator a{platform.a(), {core::kNoGate, platform.gate_ab()}, 0};
+  api::Communicator b{platform.b(), {platform.gate_ba(), core::kNoGate}, 1};
 };
 
 TEST(MpiLike, TypedBlockingSendRecv) {
@@ -74,12 +75,16 @@ TEST(MpiLike, SendrecvExchangesBothDirections) {
 
 TEST(MpiLike, BarrierSynchronizesTwoParties) {
   CommFixture f;
-  // a reaches the barrier "late": b posts its token first, then a enters.
-  auto token_b_recv = f.b.session().irecv(f.b.gate(), 0xffffffffu, {});
-  auto token_b_send = f.b.session().isend(f.b.gate(), 0xffffffffu, {});
+  EXPECT_EQ(f.a.size(), 2u);
+  EXPECT_EQ(f.a.rank(), 0u);
+  EXPECT_EQ(f.b.rank(), 1u);
+  // a reaches the barrier "late": b enters first (non-blocking, so one
+  // thread can drive both ranks), then a's blocking barrier runs the world
+  // until both dissemination tokens have crossed.
+  coll::CollHandle b_entered = f.b.group().ibarrier();
+  EXPECT_FALSE(b_entered->done());
   f.a.barrier();
-  f.b.session().wait(token_b_recv);
-  f.b.session().wait(token_b_send);
+  EXPECT_TRUE(f.b.group().wait(b_entered));
   EXPECT_GT(f.platform.now(), 0);
 }
 

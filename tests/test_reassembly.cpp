@@ -1,5 +1,6 @@
 // Reassembly tests: arbitrary chunk orders, interval merging, overlap
-// rejection, rebind migration, and randomized permutation properties.
+// rejection, rebind migration, scatter into segment lists, and randomized
+// permutation properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,7 +97,8 @@ TEST(Reassembly, RebindMigratesReceivedRanges) {
   EXPECT_TRUE(assembly.add_chunk(0, std::span(src).subspan(0, 20)).has_value());
   EXPECT_TRUE(assembly.add_chunk(50, std::span(src).subspan(50, 30)).has_value());
 
-  assembly.rebind(user);
+  const std::span<std::byte> user_seg = user;
+  assembly.rebind(std::span(&user_seg, 1));
   // Received ranges copied; the hole untouched.
   EXPECT_TRUE(std::equal(src.begin(), src.begin() + 20, user.begin()));
   EXPECT_TRUE(std::equal(src.begin() + 50, src.end(), user.begin() + 50));
@@ -130,7 +132,8 @@ TEST(Reassembly, WholeMessageChunkAndReuse) {
 
   // Rebinding a whole message carries every byte across.
   std::vector<std::byte> user(64);
-  assembly.rebind(user);
+  const std::span<std::byte> user_seg = user;
+  assembly.rebind(std::span(&user_seg, 1));
   EXPECT_EQ(user, src);
 
   // Reset reuses the assembly for an unrelated multi-chunk message.
@@ -142,6 +145,42 @@ TEST(Reassembly, WholeMessageChunkAndReuse) {
   EXPECT_TRUE(assembly.add_chunk(0, std::span(src).subspan(0, 16)).has_value());
   EXPECT_TRUE(assembly.complete());
   EXPECT_TRUE(std::equal(next.begin(), next.end(), src.begin()));
+}
+
+TEST(Reassembly, ChunksScatterAcrossSegmentsInOrder) {
+  // An 80-byte message into segments of 30 + 10 + 50 bytes: chunks that
+  // straddle segment boundaries split across them, bytes past the message
+  // stay untouched, and a rebind from contiguous storage lands the same way.
+  const auto src = pattern(80);
+  std::vector<std::byte> a(30), b(10), c(50, std::byte{0xee});
+  const std::span<std::byte> segs[] = {a, b, c};
+  MessageAssembly assembly({});
+  assembly.reset(segs, 80);
+  EXPECT_TRUE(assembly.add_chunk(25, std::span(src).subspan(25, 20)).has_value());
+  EXPECT_TRUE(assembly.add_chunk(0, std::span(src).subspan(0, 25)).has_value());
+  EXPECT_TRUE(assembly.add_chunk(45, std::span(src).subspan(45, 35)).has_value());
+  EXPECT_TRUE(assembly.complete());
+  std::vector<std::byte> joined(a);
+  joined.insert(joined.end(), b.begin(), b.end());
+  joined.insert(joined.end(), c.begin(), c.begin() + 40);
+  EXPECT_EQ(joined, src);
+  EXPECT_EQ(std::vector<std::byte>(c.begin() + 40, c.end()),
+            std::vector<std::byte>(10, std::byte{0xee}));
+
+  std::vector<std::byte> temp(80);
+  std::fill(a.begin(), a.end(), std::byte{0});
+  std::fill(b.begin(), b.end(), std::byte{0});
+  assembly.reset(temp);
+  EXPECT_TRUE(assembly.add_chunk(20, std::span(src).subspan(20, 30)).has_value());
+  assembly.rebind(segs);
+  EXPECT_TRUE(std::equal(a.begin() + 20, a.end(), src.begin() + 20));
+  EXPECT_TRUE(std::equal(b.begin(), b.end(), src.begin() + 30));
+  EXPECT_EQ(a[19], std::byte{0});
+  EXPECT_TRUE(assembly.add_chunk(0, std::span(src).subspan(0, 20)).has_value());
+  EXPECT_TRUE(assembly.add_chunk(50, std::span(src).subspan(50, 30)).has_value());
+  EXPECT_TRUE(assembly.complete());
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), src.begin()));
+  EXPECT_TRUE(std::equal(c.begin(), c.begin() + 40, src.begin() + 40));
 }
 
 TEST(Reassembly, RandomPermutationsReconstructExactly) {

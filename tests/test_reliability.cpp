@@ -13,6 +13,7 @@
 #include "core/reliability.hpp"
 #include "drv/driver.hpp"
 #include "proto/wire.hpp"
+#include "test_packets.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -129,9 +130,8 @@ ReliabilityConfig deterministic_cfg() {
 
 drv::SendDesc make_data_desc(drv::Track track = drv::Track::kSmall) {
   const auto payload = random_bytes(32, 7);
-  return drv::SendDesc(track,
-                       proto::encode_data_packet(
-                           proto::SegHeader{1, 1, 0, 32, 32}, payload));
+  return drv::SendDesc(track, test::owned_data_packet(
+                                  proto::SegHeader{1, 1, 0, 32, 32}, payload));
 }
 
 /// Build a sealed inbound frame as the peer's guard would: envelope
@@ -143,8 +143,8 @@ std::vector<std::byte> make_frame(std::uint32_t seq,
                                   std::uint32_t epoch = 0) {
   std::vector<std::byte> packet;
   if ((flags & proto::kFrameAckOnly) == 0) {
-    packet = proto::encode_data_packet(proto::SegHeader{2, 1, 0, 16, 16},
-                                       random_bytes(16, seq));
+    packet = test::data_packet_bytes(proto::SegHeader{2, 1, 0, 16, 16},
+                                     random_bytes(16, seq));
   }
   std::vector<std::byte> frame(proto::kFrameEnvelopeBytes + packet.size());
   std::copy(packet.begin(), packet.end(),

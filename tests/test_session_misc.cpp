@@ -1,14 +1,17 @@
 // Session-level odds and ends: test(), scatter receives shorter than the
-// registered segments, release of finished requests, the sampling cache
-// wiring, and deadlock detection.
+// registered segments (and what test() sees of them), release of finished
+// requests, the sampling cache wiring, and deadlock detection.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
+#include "api/mpi_like.hpp"
 #include "core/platform.hpp"
 #include "sampling/ratio_table.hpp"
+#include "sim/engine.hpp"
 #include "util/panic.hpp"
 
 namespace {
@@ -56,6 +59,45 @@ TEST(Session, UnpackScattersShorterMessageIntoLeadingSegments) {
   EXPECT_TRUE(std::equal(out2.begin(), out2.begin() + 50,
                          std::vector<std::byte>(50, std::byte{0x5e}).begin()));
   EXPECT_EQ(out2[50], std::byte{0});  // beyond the message: untouched
+}
+
+TEST(Session, TestSeesUnpackedDataInPlace) {
+  // Polling instead of waiting: once test() reports a receive complete, its
+  // bytes must already be in the user's memory — for a multi-segment
+  // unpack receive (150 B into 100+100) as for an MPI-style receive.
+  TwoNodePlatform p(paper_platform("single_rail"));
+  api::Communicator a{p.a(), {kNoGate, p.gate_ab()}, 0};
+  api::Communicator b{p.b(), {p.gate_ba(), kNoGate}, 1};
+  std::vector<std::byte> payload(150, std::byte{0x5e});
+  std::vector<std::byte> out1(100, std::byte{0}), out2(100, std::byte{0});
+  std::vector<int> data(64, 7), out(64, 0);
+
+  auto unpack = p.b().unpack(p.gate_ba(), 0);
+  unpack.add(out1).add(out2);
+  RecvHandle recv = unpack.submit();
+  api::MpiRequest mpi_recv = b.irecv(std::span<int>(out), 1);
+  SendHandle send = p.a().isend(p.gate_ab(), 0, payload);
+  api::MpiRequest mpi_send = a.isend(std::span<const int>(data), 1);
+
+  // Serial mode: step the simulator between polls, as an application
+  // overlapping computation with communication would let it progress.
+  // Threaded mode: the progress thread moves everything.
+  while (!Session::test(recv) || !mpi_recv.test()) {
+    if (p.progress_mode() == ProgressMode::kSerial) {
+      ASSERT_TRUE(p.world().engine().step()) << "world went idle";
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_EQ(recv->received_len(), 150u);
+  EXPECT_EQ(out1, std::vector<std::byte>(100, std::byte{0x5e}));
+  EXPECT_TRUE(std::equal(out2.begin(), out2.begin() + 50,
+                         std::vector<std::byte>(50, std::byte{0x5e}).begin()));
+  EXPECT_EQ(out2[50], std::byte{0});
+  EXPECT_EQ(out, data);
+
+  p.a().wait(send);
+  mpi_send.wait();
 }
 
 TEST(Session, CompletedRequestsAreReleasedInSmallBatches) {

@@ -11,6 +11,7 @@
 #include "netmodel/nic_profile.hpp"
 #include "proto/wire.hpp"
 #include "sim/time.hpp"
+#include "test_packets.hpp"
 
 namespace {
 
@@ -34,9 +35,9 @@ struct Fixture {
   }
 };
 
-std::vector<std::byte> data_packet(std::uint32_t payload_len) {
+proto::PacketView data_packet(std::uint32_t payload_len) {
   std::vector<std::byte> payload(payload_len, std::byte{0x7f});
-  return proto::encode_data_packet(
+  return test::owned_data_packet(
       proto::SegHeader{0, 0, 0, payload_len, payload_len}, payload);
 }
 
@@ -87,10 +88,9 @@ TEST(SimDriver, PioSendsOnDistinctRailsSerializeOnCpu) {
   f.myri_b->set_deliver([](Track, std::span<const std::byte>) {});
   f.quad_b->set_deliver([](Track, std::span<const std::byte>) {});
 
-  const auto pkt = data_packet(4096);
-  f.myri_a->post_send(SendDesc{Track::kSmall, pkt, 0.0},
+  f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(4096), 0.0},
                       [&] { myri_sent = f.world.now(); });
-  f.quad_a->post_send(SendDesc{Track::kSmall, pkt, 0.0},
+  f.quad_a->post_send(SendDesc{Track::kSmall, data_packet(4096), 0.0},
                       [&] { quad_sent = f.world.now(); });
   f.world.engine().run();
 

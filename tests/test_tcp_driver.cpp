@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/session.hpp"
@@ -211,10 +212,13 @@ TEST(TcpDriver, TrackIdleContract) {
   EXPECT_TRUE(da->send_idle(drv::Track::kSmall));
 
   bool sent = false;
-  const auto wire = nmad::proto::encode_data_packet(
-      nmad::proto::SegHeader{0, 0, 0, 4, 4},
-      std::vector<std::byte>(4, std::byte{1}));
-  da->post_send(drv::SendDesc{drv::Track::kSmall, wire, 0.0}, [&] { sent = true; });
+  nmad::proto::BufferPool pool;
+  const std::vector<std::byte> payload(4, std::byte{1});
+  drv::SendDesc desc{drv::Track::kSmall,
+                     nmad::proto::encode_data_packet_view(
+                         pool, nmad::proto::SegHeader{0, 0, 0, 4, 4}, payload),
+                     0.0};
+  da->post_send(std::move(desc), [&] { sent = true; });
   EXPECT_FALSE(da->send_idle(drv::Track::kSmall));
   EXPECT_TRUE(da->send_idle(drv::Track::kLarge));
   while (!sent) da->progress();

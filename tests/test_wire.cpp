@@ -9,11 +9,13 @@
 
 #include "proto/crc32c.hpp"
 #include "proto/wire.hpp"
+#include "test_packets.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace nmad::proto;
+using nmad::test::data_packet_bytes;
 
 /// A packet's segments as read_packet walks them, or nullopt on rejection.
 struct Decoded {
@@ -35,7 +37,7 @@ std::vector<std::byte> bytes_of(std::initializer_list<int> xs) {
 TEST(Wire, SingleSegmentRoundTrip) {
   const auto payload = bytes_of({1, 2, 3, 4, 5});
   const SegHeader h{7, 42, 100, 5, 4096};
-  const auto wire = encode_data_packet(h, payload);
+  const auto wire = data_packet_bytes(h, payload);
   EXPECT_EQ(wire.size(), packet_wire_size(1, 5));
 
   const auto decoded = decode(wire);
@@ -48,15 +50,16 @@ TEST(Wire, SingleSegmentRoundTrip) {
 }
 
 TEST(Wire, AggregatedPacketPreservesAllSegments) {
-  PacketBuilder builder(PacketKind::kData);
+  BufferPool pool;
+  GatherBuilder builder(PacketKind::kData, pool.acquire(), pool.acquire());
   std::vector<std::vector<std::byte>> payloads;
   for (std::uint32_t i = 0; i < 9; ++i) {
     payloads.push_back(std::vector<std::byte>(i * 3, std::byte(i)));
-    builder.add_segment(
+    builder.add_segment_staged(
         SegHeader{i, i * 10, 0, static_cast<std::uint32_t>(i * 3), i * 3 + 1},
         payloads.back());
   }
-  const auto wire = std::move(builder).finish();
+  const auto wire = std::move(builder).finish().to_bytes();
   const auto decoded = decode(wire);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->segments.size(), 9u);
@@ -70,7 +73,8 @@ TEST(Wire, AggregatedPacketPreservesAllSegments) {
 }
 
 TEST(Wire, ControlPacketsRoundTrip) {
-  const auto req = encode_rdv_req(3, 9, 1 << 20);
+  BufferPool pool;
+  const auto req = encode_rdv_req_view(pool, 3, 9, 1 << 20).to_bytes();
   auto decoded = decode(req);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->kind, PacketKind::kRdvReq);
@@ -79,14 +83,14 @@ TEST(Wire, ControlPacketsRoundTrip) {
   EXPECT_EQ(decoded->segments[0].header.total_len, 1u << 20);
   EXPECT_TRUE(decoded->segments[0].payload.empty());
 
-  const auto ack = encode_rdv_ack(3, 9);
+  const auto ack = encode_rdv_ack_view(pool, 3, 9).to_bytes();
   decoded = decode(ack);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->kind, PacketKind::kRdvAck);
 }
 
 TEST(Wire, RejectsTruncatedPacket) {
-  const auto wire = encode_data_packet(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
+  const auto wire = data_packet_bytes(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     const auto truncated =
         std::span<const std::byte>(wire.data(), cut);
@@ -95,7 +99,7 @@ TEST(Wire, RejectsTruncatedPacket) {
 }
 
 TEST(Wire, RejectsBadMagicVersionKind) {
-  auto wire = encode_data_packet(SegHeader{1, 1, 0, 0, 0}, {});
+  auto wire = data_packet_bytes(SegHeader{1, 1, 0, 0, 0}, {});
   auto corrupt = wire;
   corrupt[0] = std::byte{0x00};
   EXPECT_FALSE(decode(corrupt).has_value());
@@ -110,14 +114,14 @@ TEST(Wire, RejectsBadMagicVersionKind) {
 }
 
 TEST(Wire, RejectsTrailingGarbage) {
-  auto wire = encode_data_packet(SegHeader{1, 1, 0, 2, 2}, bytes_of({1, 2}));
+  auto wire = data_packet_bytes(SegHeader{1, 1, 0, 2, 2}, bytes_of({1, 2}));
   wire.push_back(std::byte{0});
   EXPECT_FALSE(decode(wire).has_value());
 }
 
 TEST(Wire, RejectsExtentBeyondMessage) {
   // Hand-corrupt the offset field of an otherwise valid packet.
-  auto wire = encode_data_packet(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
+  auto wire = data_packet_bytes(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
   // SegHeader at offset 16; its 'offset' field at +8.
   wire[16 + 8] = std::byte{0xff};
   EXPECT_FALSE(decode(wire).has_value());
@@ -125,14 +129,15 @@ TEST(Wire, RejectsExtentBeyondMessage) {
 
 TEST(Wire, RejectsZeroSegmentsAndInconsistentSegmentLengths) {
   // A bare packet header claiming no segments (and no payload).
-  auto empty = encode_rdv_ack(1, 1);
+  std::vector<std::byte> empty(kControlPacketBytes);
+  encode_rdv_ack_into(empty, 1, 1);
   empty.resize(kPacketHeaderBytes);
   empty[4] = std::byte{0};  // seg_count
   EXPECT_FALSE(decode(empty).has_value());
 
   // Segment len field (SegHeader at 16, len at +12) against a 4-byte payload.
   const auto wire =
-      encode_data_packet(SegHeader{1, 1, 0, 4, 100}, bytes_of({1, 2, 3, 4}));
+      data_packet_bytes(SegHeader{1, 1, 0, 4, 100}, bytes_of({1, 2, 3, 4}));
   ASSERT_TRUE(decode(wire).has_value());
   auto longer = wire;
   longer[16 + 12] = std::byte{5};  // exceeds the packet payload
@@ -143,12 +148,13 @@ TEST(Wire, RejectsZeroSegmentsAndInconsistentSegmentLengths) {
 }
 
 TEST(Wire, ReaderWalksSegmentsInPlace) {
-  PacketBuilder builder(PacketKind::kData);
+  BufferPool pool;
+  GatherBuilder builder(PacketKind::kData, pool.acquire());
   const auto a = bytes_of({1, 2, 3});
   const auto b = bytes_of({4});
   builder.add_segment(SegHeader{1, 0, 0, 3, 3}, a);
   builder.add_segment(SegHeader{2, 5, 7, 1, 8}, b);
-  const auto wire = std::move(builder).finish();
+  const auto wire = std::move(builder).finish().to_bytes();
   const auto reader = read_packet(wire);
   ASSERT_TRUE(reader.has_value());
   EXPECT_EQ(reader->seg_count(), 2u);
@@ -181,8 +187,18 @@ TEST(WireGather, SingleSegmentViewIsZeroCopyAndByteIdentical) {
   // The payload span references the caller's memory in place.
   EXPECT_EQ(view.payload_spans()[0].data(), payload.data());
 
+  // The documented layout, written out: PacketHeader (magic "NM", version
+  // 1, kind kData, 1 segment, payload_len 6), one SegHeader (tag 3, seq 11,
+  // offset 24, len 6, total_len 640), then the payload. Little-endian.
+  const auto golden = bytes_of({
+      0x4e, 0x4d, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00,  // magic ver kind segs rsvd
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload_len, reserved
+      0x03, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00,  // tag, msg_seq
+      0x18, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,  // offset, len
+      0x80, 0x02, 0x00, 0x00,                          // total_len
+      0x09, 0x08, 0x07, 0x06, 0x05, 0x04});            // payload
   const auto gathered = view.to_bytes();
-  EXPECT_EQ(gathered, encode_data_packet(h, payload));
+  EXPECT_EQ(gathered, golden);
   EXPECT_EQ(gathered.size(), view.wire_size());
 }
 
@@ -307,22 +323,37 @@ TEST(WireGather, AdjacentReferencedSegmentsMergeSpans) {
   ASSERT_TRUE(decode(view.to_bytes()).has_value());
 }
 
-TEST(WireGather, ControlFastPathsMatchLegacyEncodersByteForByte) {
+TEST(WireGather, ControlPacketsMatchGoldenWireImages) {
+  // Rendezvous request and grant for (tag 5, seq 77), written out from the
+  // documented layout: PacketHeader (magic "NM", version 1, kind, 1
+  // segment, no payload) and one SegHeader (tag, msg_seq, offset 0, len 0,
+  // total_len — the announced length for a request, 0 for a grant).
+  const auto golden_req = bytes_of({
+      0x4e, 0x4d, 0x01, 0x02, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x40, 0xe2, 0x01, 0x00});  // 123456
+  const auto golden_ack = bytes_of({
+      0x4e, 0x4d, 0x01, 0x03, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00});
+  ASSERT_EQ(golden_req.size(), kControlPacketBytes);
+
   std::array<std::byte, kControlPacketBytes> buf{};
   encode_rdv_req_into(buf, 5, 77, 123456);
-  const auto legacy_req = encode_rdv_req(5, 77, 123456);
-  EXPECT_TRUE(std::equal(legacy_req.begin(), legacy_req.end(), buf.begin()));
-
+  EXPECT_TRUE(std::equal(golden_req.begin(), golden_req.end(), buf.begin()));
   encode_rdv_ack_into(buf, 5, 77);
-  const auto legacy_ack = encode_rdv_ack(5, 77);
-  EXPECT_TRUE(std::equal(legacy_ack.begin(), legacy_ack.end(), buf.begin()));
+  EXPECT_TRUE(std::equal(golden_ack.begin(), golden_ack.end(), buf.begin()));
 
   BufferPool pool(kControlPacketBytes);
   PacketView req = encode_rdv_req_view(pool, 5, 77, 123456);
-  EXPECT_EQ(req.to_bytes(), legacy_req);
+  EXPECT_EQ(req.to_bytes(), golden_req);
   EXPECT_EQ(req.copied_bytes(), 0u);
   PacketView ack = encode_rdv_ack_view(pool, 5, 77);
-  EXPECT_EQ(ack.to_bytes(), legacy_ack);
+  EXPECT_EQ(ack.to_bytes(), golden_ack);
 }
 
 // --------------------------------------------------------------------------
@@ -339,7 +370,7 @@ std::vector<std::byte> sealed_frame(const FrameEnvelope& env,
 }
 
 TEST(FrameEnvelope, SealDecodeRoundTrip) {
-  const auto packet = encode_data_packet(SegHeader{3, 9, 0, 8, 8},
+  const auto packet = data_packet_bytes(SegHeader{3, 9, 0, 8, 8},
                                          std::vector<std::byte>(8, std::byte{0xab}));
   FrameEnvelope env;
   env.seq = 41;
@@ -377,7 +408,7 @@ TEST(FrameEnvelope, AckOnlyFrameIsEnvelopeSized) {
 }
 
 TEST(FrameEnvelope, EpochRoundTripsAndIsCrcCovered) {
-  const auto packet = encode_data_packet(SegHeader{5, 2, 0, 8, 8},
+  const auto packet = data_packet_bytes(SegHeader{5, 2, 0, 8, 8},
                                          std::vector<std::byte>(8, std::byte{0x11}));
   FrameEnvelope env;
   env.seq = 7;
@@ -397,7 +428,7 @@ TEST(FrameEnvelope, EpochRoundTripsAndIsCrcCovered) {
 }
 
 TEST(FrameEnvelope, HandshakeAndProbeFramesAreEnvelopeOnly) {
-  const auto packet = encode_data_packet(SegHeader{1, 1, 0, 4, 4},
+  const auto packet = data_packet_bytes(SegHeader{1, 1, 0, 4, 4},
                                          std::vector<std::byte>(4, std::byte{9}));
   for (const std::uint8_t flag :
        {kFrameProbe, kFrameProbeReply, kFrameReconnect, kFrameReconnectAck}) {
@@ -421,7 +452,7 @@ TEST(FrameEnvelope, HandshakeAndProbeFramesAreEnvelopeOnly) {
 }
 
 TEST(FrameEnvelope, RejectsTruncationAtEveryCut) {
-  const auto packet = encode_data_packet(SegHeader{1, 1, 0, 4, 4},
+  const auto packet = data_packet_bytes(SegHeader{1, 1, 0, 4, 4},
                                          std::vector<std::byte>(4, std::byte{1}));
   FrameEnvelope env;
   env.seq = 1;
@@ -435,7 +466,7 @@ TEST(FrameEnvelope, RejectsTruncationAtEveryCut) {
 TEST(FrameEnvelope, RejectsBadMagicAndVersion) {
   FrameEnvelope env;
   env.seq = 1;
-  const auto packet = encode_data_packet(SegHeader{1, 1, 0, 4, 4},
+  const auto packet = data_packet_bytes(SegHeader{1, 1, 0, 4, 4},
                                          std::vector<std::byte>(4, std::byte{1}));
   auto bad_magic = sealed_frame(env, packet);
   bad_magic[0] ^= std::byte{0xff};
@@ -447,7 +478,7 @@ TEST(FrameEnvelope, RejectsBadMagicAndVersion) {
 }
 
 TEST(FrameEnvelope, ChecksumCatchesEverySingleBitFlip) {
-  const auto packet = encode_data_packet(SegHeader{2, 7, 0, 16, 16},
+  const auto packet = data_packet_bytes(SegHeader{2, 7, 0, 16, 16},
                                          std::vector<std::byte>(16, std::byte{0x5c}));
   FrameEnvelope env;
   env.seq = 3;
@@ -568,7 +599,8 @@ TEST(Wire, RandomizedRoundTripSweep) {
   nmad::util::Xoshiro256 rng(2024);
   for (int round = 0; round < 200; ++round) {
     const auto nseg = 1 + rng.next_below(12);
-    PacketBuilder builder(PacketKind::kData);
+    BufferPool pool;
+    GatherBuilder builder(PacketKind::kData, pool.acquire(), pool.acquire());
     std::vector<SegHeader> headers;
     std::vector<std::vector<std::byte>> payloads;
     for (std::uint64_t i = 0; i < nseg; ++i) {
@@ -579,11 +611,17 @@ TEST(Wire, RandomizedRoundTripSweep) {
                   offset + len + static_cast<std::uint32_t>(rng.next_below(50))};
       std::vector<std::byte> payload(len);
       for (auto& b : payload) b = std::byte(rng.next() & 0xff);
-      builder.add_segment(h, payload);
+      // Referenced and staged segments interleave, as in an aggregated
+      // packet that mixes in-place and copied payloads.
+      if (rng.next_below(2) == 0) {
+        builder.add_segment_staged(h, payload);
+      } else {
+        builder.add_segment(h, payload);
+      }
       headers.push_back(h);
       payloads.push_back(std::move(payload));
     }
-    const auto wire = std::move(builder).finish();
+    const auto wire = std::move(builder).finish().to_bytes();
     const auto decoded = decode(wire);
     ASSERT_TRUE(decoded.has_value());
     ASSERT_EQ(decoded->segments.size(), nseg);
